@@ -92,6 +92,8 @@ class LyapunovConfig:
     renorm_every: int = 10
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t_transient, self.t_total, self.h))):
+            raise ValueError("t_transient, t_total and h must be finite")
         if self.t_transient < 0:
             raise ValueError("t_transient must be nonnegative")
         if not self.t_total > self.t_transient:

@@ -4,15 +4,13 @@ parameter presets used throughout the package and the CLI."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import LyapunovConfig
 from .dynamics import ModelKind, ModelSpec, State, rhs_fn
-from .integrators import IntegrationConfig, Method
+from .integrators import IntegrationConfig, Method, _rk4_update
 
 __all__ = [
     "SweepConfig",
@@ -23,11 +21,6 @@ __all__ = [
     "preset",
     "PRESET_IDS",
 ]
-
-# Samples per work unit.  Fixed (not derived from the worker count) so that
-# results are bit-identical no matter how many threads evaluate the sweep.
-_CHUNK = 256
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -46,6 +39,9 @@ class SweepConfig:
     h: float
 
     def __post_init__(self):
+        bounds = (self.omega_min, self.omega_max, self.s0.t, self.t_max, self.h)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError("omega bounds, s0.t, t_max and h must be finite")
         if not self.omega_min < self.omega_max:
             raise ValueError("omega_min must be below omega_max")
         if int(self.n_samples) != self.n_samples or self.n_samples < 2:
@@ -73,34 +69,27 @@ class SweepRecord:
     diverged: bool
 
 
-def _integrate_terminal_batch(
-    model: ModelSpec, omegas: np.ndarray, s0: State, t_max: float, h: float
-):
-    """RK4-integrate one model per omega value, all lanes in lockstep.
+def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
+    """One record per grid frequency, in ascending omega order.
 
-    Returns terminal (q, p, diverged) arrays.  Lanes that go non-finite are
-    frozen at their last finite state and flagged; the rest keep going.
+    All lanes advance in lockstep as one vectorized batch through the same
+    RK4 update that ``integrate`` uses, so lane i is bit-for-bit the scalar
+    RK4 run of the template at omega_i.  Lanes that go non-finite are frozen
+    at their last finite state and flagged; the rest keep going.
     """
+    omegas = np.linspace(cfg.omega_min, cfg.omega_max, int(cfg.n_samples))
+    model = cfg.model_template
     f = rhs_fn(model, cos=np.cos, omega=omegas)
-    n_steps = int(math.floor((t_max - s0.t) / h + 0.5))
-    t0 = s0.t
-    q = np.full(omegas.shape, float(s0.q))
-    p = np.full(omegas.shape, float(s0.p))
+    h, t0 = cfg.h, cfg.s0.t
+    n_steps = int(math.floor((cfg.t_max - t0) / h + 0.5))
+    q = np.full(omegas.shape, float(cfg.s0.q))
+    p = np.full(omegas.shape, float(cfg.s0.p))
     alive = np.ones(omegas.shape, dtype=bool)
     any_dead = False
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            t = t0 + i * h
-            k1q, k1p = f(q, p, t)
-            k2q, k2p = f(q + half_h * k1q, p + half_h * k1p, t + half_h)
-            k3q, k3p = f(q + half_h * k2q, p + half_h * k2p, t + half_h)
-            k4q, k4p = f(q + h * k3q, p + h * k3p, t + h)
-            qn = q + sixth_h * (k1q + 2.0 * (k2q + k3q) + k4q)
-            pn = p + sixth_h * (k1p + 2.0 * (k2p + k3p) + k4p)
-
+            qn, pn = _rk4_update(f, q, p, t0 + i * h, h)
             ok = np.isfinite(qn) & np.isfinite(pn)
             if not any_dead and bool(ok.all()):
                 q, p = qn, pn
@@ -113,53 +102,9 @@ def _integrate_terminal_batch(
                     break
             np.copyto(q, qn, where=alive)
             np.copyto(p, pn, where=alive)
-    return q, p, ~alive
 
-
-def _worker_count() -> int:
-    env = os.environ.get("DUFFING_LAB_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(
-                f"DUFFING_LAB_THREADS must be an integer, got {env!r}"
-            ) from None
-        if n > 0:
-            return n
-    return min(4, os.cpu_count() or 1)
-
-
-def sweep_omega(cfg: SweepConfig, max_workers: int | None = None) -> list[SweepRecord]:
-    """One record per grid frequency, in ascending omega order.
-
-    Work is split into fixed-size chunks evaluated by a small thread pool
-    (capped by ``max_workers`` or the DUFFING_LAB_THREADS environment
-    variable); chunking is independent of the worker count, so the output is
-    deterministic regardless of scheduling.
-    """
-    omegas = np.linspace(cfg.omega_min, cfg.omega_max, int(cfg.n_samples))
-    model = cfg.model_template
     is_ecology = model.kind is ModelKind.ECOLOGY
     offset0 = cfg.s0.p - model.beta * cfg.s0.q if is_ecology else 0.0
-
-    def run_chunk(sl: slice):
-        return _integrate_terminal_batch(
-            model, omegas[sl], cfg.s0, cfg.t_max, cfg.h
-        )
-
-    chunks = [slice(i, min(i + _CHUNK, omegas.size)) for i in range(0, omegas.size, _CHUNK)]
-    workers = max_workers if max_workers else _worker_count()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    else:
-        parts = [run_chunk(sl) for sl in chunks]
-
-    q = np.concatenate([part[0] for part in parts])
-    p = np.concatenate([part[1] for part in parts])
-    dead = np.concatenate([part[2] for part in parts])
-
     records = []
     for i in range(omegas.size):
         residual = abs((p[i] - model.beta * q[i]) - offset0) if is_ecology else 0.0
@@ -169,7 +114,7 @@ def sweep_omega(cfg: SweepConfig, max_workers: int | None = None) -> list[SweepR
                 x_final=float(q[i]),
                 y_final=float(p[i]),
                 conservation_residual=float(residual),
-                diverged=bool(dead[i]),
+                diverged=not alive[i],
             )
         )
     return records

@@ -226,7 +226,7 @@ def _apply_overrides(cfg: dict, overrides: dict[str, float]) -> None:
         if isinstance(current, bool):
             raise UsageError(f"field {path!r} is not numeric")
         if isinstance(current, int):
-            if float(value) != int(value):
+            if not math.isfinite(value) or float(value) != int(value):
                 raise UsageError(f"field {path!r} takes an integer, got {value}")
             cfg[path] = int(value)
         else:
@@ -394,6 +394,8 @@ def _build_homotopy(cfg: dict) -> HomotopyApprox:
 
 
 def _time_grid(t0: float, t_max: float, h: float) -> np.ndarray:
+    if not all(map(math.isfinite, (t0, t_max, h))):
+        raise UsageError("t0, t_max and h must be finite")
     if not h > 0:
         raise UsageError("h must be positive")
     if not t_max > t0:

@@ -50,6 +50,8 @@ class IntegrationConfig:
     record_stride: int = 1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.h, self.t0, self.t_max))):
+            raise ValueError("h, t0 and t_max must be finite")
         if not self.h > 0:
             raise ValueError("h must be positive")
         if not self.t_max > self.t0:

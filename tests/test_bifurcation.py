@@ -13,6 +13,7 @@ from duffinglab.bifurcation import (
     sweep_omega,
 )
 from duffinglab.dynamics import ModelKind, ModelSpec, State
+from duffinglab.integrators import IntegrationConfig, integrate
 
 
 def short_case1(n_samples=16, t_max=50.0):
@@ -38,13 +39,52 @@ def test_record_count_order_and_uniform_grid():
     assert np.allclose(np.diff(omegas), spacing, rtol=1e-12)
 
 
-def test_sweep_is_deterministic_and_scheduler_independent():
+def test_sweep_is_deterministic():
     cfg = short_case1(n_samples=300, t_max=5.0)
-    a = sweep_omega(cfg)
-    b = sweep_omega(cfg)
-    c = sweep_omega(cfg, max_workers=1)
-    d = sweep_omega(cfg, max_workers=4)
-    assert a == b == c == d
+    assert sweep_omega(cfg) == sweep_omega(cfg)
+
+
+def _mixed_divergence_sweep():
+    # alpha > 0 makes the quintic term repulsive beyond |q| = 1: within t=5
+    # some lanes are forced past it and blow up, the others stay bounded
+    template = ModelSpec(kind=ModelKind.ECOLOGY, alpha=1.0, beta=0.5,
+                         coupling_a=0.0)
+    return SweepConfig(
+        model_template=template, omega_min=0.1, omega_max=6.0, n_samples=12,
+        s0=State(0.8, 0.0, 0.0), t_max=5.0, h=0.01,
+    )
+
+
+def _chaos_sweep():
+    template = ModelSpec(kind=ModelKind.DUFFING_CHAOS, delta=0.05, gamma=0.2,
+                         omega=1.1)
+    return SweepConfig(
+        model_template=template, omega_min=0.5, omega_max=1.5, n_samples=6,
+        s0=State(0.1, 0.0, 0.0), t_max=20.0, h=0.01,
+    )
+
+
+@pytest.mark.parametrize(
+    "make_cfg",
+    [lambda: short_case1(n_samples=8, t_max=20.0), _chaos_sweep,
+     _mixed_divergence_sweep],
+    ids=["bif_case_1", "duffing_chaos", "ecology_mixed_divergence"],
+)
+def test_sweep_lane_equals_scalar_rk4_bitwise(make_cfg):
+    cfg = make_cfg()
+    records = sweep_omega(cfg)
+    run = IntegrationConfig(h=cfg.h, t0=cfg.s0.t, t_max=cfg.t_max)
+    for r in records:
+        model = dataclasses.replace(cfg.model_template, omega=r.omega)
+        traj = integrate(model, cfg.s0, run)
+        last = traj.samples[-1]
+        assert (r.x_final, r.y_final, r.diverged) == (last.q, last.p, traj.diverged)
+
+
+def test_mixed_divergence_sweep_has_both_kinds_of_lane():
+    records = sweep_omega(_mixed_divergence_sweep())
+    assert 0 < sum(r.diverged for r in records) < len(records)
+    assert all(math.isfinite(r.x_final) and math.isfinite(r.y_final) for r in records)
 
 
 def test_sweep_conservation_residual_is_affine_consistency():
@@ -170,11 +210,3 @@ def test_preset_unknown_id_is_usage_error():
     with pytest.raises(ValueError):
         preset("NOPE")
 
-
-def test_sweep_env_thread_cap(monkeypatch):
-    cfg = short_case1(n_samples=8, t_max=2.0)
-    base = sweep_omega(cfg)
-    monkeypatch.setenv("DUFFING_LAB_THREADS", "3")
-    assert sweep_omega(cfg) == base
-    monkeypatch.setenv("DUFFING_LAB_THREADS", "0")
-    assert sweep_omega(cfg) == base

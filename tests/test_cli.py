@@ -255,6 +255,30 @@ def test_integer_field_rejects_fractional_override(capsys):
     assert "integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--preset", "CHAOS_A02", "--t-max", "inf"],
+        ["simulate", "--preset", "CHAOS_A02", "--set", "run.t0=-inf"],
+        ["simulate", "--preset", "CHAOS_A02", "--set", "run.record_stride=inf"],
+        ["compare", "--preset", "CHAOS_A02", "--t-max", "inf"],
+        ["picard", "--preset", "CHAOS_A02", "--t-max", "inf"],
+        ["homotopy", "--t-max", "inf"],
+        ["lyapunov", "--preset", "CHAOS_A02", "--set", "lyapunov.t_total=inf"],
+        ["bifurcate", "--preset", "BIF_CASE_1", "--t-max", "inf"],
+        ["bifurcate", "--preset", "BIF_CASE_1", "--omega-max", "inf"],
+        ["bifurcate", "--preset", "BIF_CASE_1", "--omega-min=-inf"],
+        ["bifurcate", "--preset", "BIF_CASE_1", "--samples", "inf"],
+        ["bifurcate", "--preset", "BIF_CASE_1", "--set", "s0.t=-inf"],
+    ],
+)
+def test_non_finite_input_is_usage_error(argv, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("duffing-lab: ")
+
+
 def test_overflow_exits_2_with_partial_document(capsys):
     code, out, err = run_main(
         [
