@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelSpec, State, jac_fn, rhs_fn
+from .dynamics import ModelSpec, State, forcing_omega, jac_fn, rhs_fn
 
 __all__ = [
     "ErrorTable",
@@ -102,7 +102,8 @@ class LyapunovConfig:
             raise ValueError("h must be positive")
         if (self.t_total - self.t_transient) / self.h < 100:
             raise ValueError("accumulation window must cover at least 100 steps")
-        if int(self.renorm_every) != self.renorm_every or self.renorm_every < 1:
+        every = self.renorm_every
+        if not math.isfinite(every) or int(every) != every or every < 1:
             raise ValueError("renorm_every must be a positive integer")
 
 
@@ -144,6 +145,8 @@ def lyapunov_spectrum(
     sixth_h = h / 6.0
 
     q, p, t0 = s0.q, s0.p, s0.t
+    cos, w = math.cos, forcing_omega(model)
+    t_end = c4 = math.nan
     v11, v21 = 1.0, 0.0  # first tangent vector
     v12, v22 = 0.0, 1.0  # second tangent vector
     log1 = log2 = 0.0
@@ -159,8 +162,12 @@ def lyapunov_spectrum(
         t = t0 + (i - 1) * h
 
         try:
+            c1 = c4 if t == t_end else cos(w * t)
+            t_end = t + h
+            c4 = cos(w * t_end)
             q, p, v11, v21, v12, v22, step_trace = _tangent_rk4_step(
-                f, jac, q, p, t, h, half_h, sixth_h, v11, v21, v12, v22
+                f, jac, q, p, c1, cos(w * (t + half_h)), c4,
+                h, half_h, sixth_h, v11, v21, v12, v22,
             )
         except (OverflowError, ValueError):
             diverged = True
@@ -212,14 +219,18 @@ def lyapunov_spectrum(
     )
 
 
-def _tangent_rk4_step(f, jac, q, p, t, h, half_h, sixth_h, v11, v21, v12, v22):
+def _tangent_rk4_step(
+    f, jac, q, p, cos1, cos2, cos4, h, half_h, sixth_h, v11, v21, v12, v22
+):
     """One RK4 step of the state jointly with two tangent vectors.
 
+    cos1, cos2 and cos4 are the forcing values at the stage times t,
+    t + h/2 and t + h (a1..d4 name the Jacobian entries of each stage).
     Returns the advanced (q, p, v11, v21, v12, v22) plus the Jacobian trace
     at the step's starting state (for the divergence time average).
     """
     a1, b1, c1, d1 = jac(q, p)
-    k1q, k1p = f(q, p, t)
+    k1q, k1p = f(q, p, cos1)
     k1v11 = a1 * v11 + b1 * v21
     k1v21 = c1 * v11 + d1 * v21
     k1v12 = a1 * v12 + b1 * v22
@@ -227,7 +238,7 @@ def _tangent_rk4_step(f, jac, q, p, t, h, half_h, sixth_h, v11, v21, v12, v22):
 
     q2s, p2s = q + half_h * k1q, p + half_h * k1p
     a2, b2, c2, d2 = jac(q2s, p2s)
-    k2q, k2p = f(q2s, p2s, t + half_h)
+    k2q, k2p = f(q2s, p2s, cos2)
     u11, u21 = v11 + half_h * k1v11, v21 + half_h * k1v21
     u12, u22 = v12 + half_h * k1v12, v22 + half_h * k1v22
     k2v11 = a2 * u11 + b2 * u21
@@ -237,7 +248,7 @@ def _tangent_rk4_step(f, jac, q, p, t, h, half_h, sixth_h, v11, v21, v12, v22):
 
     q3s, p3s = q + half_h * k2q, p + half_h * k2p
     a3, b3, c3, d3 = jac(q3s, p3s)
-    k3q, k3p = f(q3s, p3s, t + half_h)
+    k3q, k3p = f(q3s, p3s, cos2)
     u11, u21 = v11 + half_h * k2v11, v21 + half_h * k2v21
     u12, u22 = v12 + half_h * k2v12, v22 + half_h * k2v22
     k3v11 = a3 * u11 + b3 * u21
@@ -247,7 +258,7 @@ def _tangent_rk4_step(f, jac, q, p, t, h, half_h, sixth_h, v11, v21, v12, v22):
 
     q4s, p4s = q + h * k3q, p + h * k3p
     a4, b4, c4, d4 = jac(q4s, p4s)
-    k4q, k4p = f(q4s, p4s, t + h)
+    k4q, k4p = f(q4s, p4s, cos4)
     u11, u21 = v11 + h * k3v11, v21 + h * k3v21
     u12, u22 = v12 + h * k3v12, v22 + h * k3v22
     k4v11 = a4 * u11 + b4 * u21

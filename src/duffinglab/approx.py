@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelSpec, State, Trajectory, rhs_fn
+from .dynamics import ModelSpec, State, Trajectory, forcing_omega, rhs_fn
 
 __all__ = [
     "HomotopyApprox",
@@ -123,14 +123,15 @@ def picard_solve(model: ModelSpec, s0: State, grid, k: int) -> Trajectory:
     if int(k) != k or k < 0:
         raise ValueError("iteration count must be a nonnegative integer")
 
-    f = rhs_fn(model, cos=np.cos)
+    f = rhs_fn(model)
     dt = np.diff(grid)
     q = np.full(grid.shape, s0.q)
     p = np.full(grid.shape, s0.p)
     diverged = False
     with np.errstate(over="ignore", invalid="ignore"):
+        forcing = np.cos(forcing_omega(model) * grid)
         for _ in range(int(k)):
-            dq, dp = f(q, p, grid)
+            dq, dp = f(q, p, forcing)
             q_new = s0.q + np.concatenate(
                 ([0.0], np.cumsum(0.5 * (dq[1:] + dq[:-1]) * dt))
             )

@@ -44,7 +44,8 @@ class SweepConfig:
             raise ValueError("omega bounds, s0.t, t_max and h must be finite")
         if not self.omega_min < self.omega_max:
             raise ValueError("omega_min must be below omega_max")
-        if int(self.n_samples) != self.n_samples or self.n_samples < 2:
+        n = self.n_samples
+        if not math.isfinite(n) or int(n) != n or n < 2:
             raise ValueError("n_samples must be an integer >= 2")
         if not self.t_max > self.s0.t:
             raise ValueError("t_max must exceed the initial time")
@@ -73,23 +74,31 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
     """One record per grid frequency, in ascending omega order.
 
     All lanes advance in lockstep as one vectorized batch through the same
-    RK4 update that ``integrate`` uses, so lane i is bit-for-bit the scalar
-    RK4 run of the template at omega_i.  Lanes that go non-finite are frozen
-    at their last finite state and flagged; the rest keep going.
+    RK4 update that ``integrate`` uses, with the forcing evaluated by the
+    same rule (once per distinct stage time), so lane i is bit-for-bit the
+    scalar RK4 run of the template at omega_i.  Lanes that go non-finite are
+    frozen at their last finite state and flagged; the rest keep going.
     """
     omegas = np.linspace(cfg.omega_min, cfg.omega_max, int(cfg.n_samples))
     model = cfg.model_template
-    f = rhs_fn(model, cos=np.cos, omega=omegas)
+    f = rhs_fn(model)
     h, t0 = cfg.h, cfg.s0.t
     n_steps = int(math.floor((cfg.t_max - t0) / h + 0.5))
     q = np.full(omegas.shape, float(cfg.s0.q))
     p = np.full(omegas.shape, float(cfg.s0.p))
     alive = np.ones(omegas.shape, dtype=bool)
     any_dead = False
+    t_end = c4 = math.nan
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            qn, pn = _rk4_update(f, q, p, t0 + i * h, h)
+            t = t0 + i * h
+            c1 = c4 if t == t_end else np.cos(omegas * t)
+            t_end = t + h
+            c4 = np.cos(omegas * t_end)
+            qn, pn = _rk4_update(
+                f, q, p, h, c1, np.cos(omegas * (t + 0.5 * h)), c4
+            )
             ok = np.isfinite(qn) & np.isfinite(pn)
             if not any_dead and bool(ok.all()):
                 q, p = qn, pn
@@ -103,21 +112,19 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
             np.copyto(q, qn, where=alive)
             np.copyto(p, pn, where=alive)
 
-    is_ecology = model.kind is ModelKind.ECOLOGY
-    offset0 = cfg.s0.p - model.beta * cfg.s0.q if is_ecology else 0.0
-    records = []
-    for i in range(omegas.size):
-        residual = abs((p[i] - model.beta * q[i]) - offset0) if is_ecology else 0.0
-        records.append(
-            SweepRecord(
-                omega=float(omegas[i]),
-                x_final=float(q[i]),
-                y_final=float(p[i]),
-                conservation_residual=float(residual),
-                diverged=not alive[i],
-            )
+    if model.kind is ModelKind.ECOLOGY:
+        offset0 = cfg.s0.p - model.beta * cfg.s0.q
+        residuals = np.abs((p - model.beta * q) - offset0).tolist()
+    else:
+        residuals = [0.0] * omegas.size
+    return [
+        SweepRecord(
+            omega=w, x_final=x, y_final=y, conservation_residual=r, diverged=not a
         )
-    return records
+        for w, x, y, r, a in zip(
+            omegas.tolist(), q.tolist(), p.tolist(), residuals, alive.tolist()
+        )
+    ]
 
 
 @dataclass(frozen=True)

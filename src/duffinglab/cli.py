@@ -681,8 +681,16 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
     return manifest
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a one-line usage error (exit 1)
+    instead of argparse's usage block and exit 2, which means overflow here."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="duffing-lab",
         description="Simulate, analyze and sweep the bundled oscillator models.",
     )
@@ -728,9 +736,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        manifest = build_manifest(args)
+        manifest = build_manifest(_build_parser().parse_args(argv))
     except UsageError as e:
         print(f"duffing-lab: {e}", file=sys.stderr)
         return 1

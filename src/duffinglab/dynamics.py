@@ -133,58 +133,68 @@ class Trajectory:
         return np.array([s.p for s in self.samples])
 
 
-def rhs_fn(model: ModelSpec, cos: Callable = math.cos, omega=None) -> Callable:
-    """Bind a model to a fast ``f(q, p, t) -> (dq, dp)`` callable.
+def rhs_fn(model: ModelSpec) -> Callable:
+    """Bind a model to a fast ``f(q, p, c) -> (dq, dp)`` callable.
 
-    ``cos`` selects the scalar (math.cos) or vectorized (np.cos) flavor; all
-    arithmetic broadcasts, so q, p, t and the optional ``omega`` override may
-    be floats or arrays.  The omega override exists for frequency sweeps.
+    ``c`` is the forcing value cos(omega*t) at the evaluation time, with
+    omega from :func:`forcing_omega` or a sweep's frequency grid.  The caller
+    computes it, so one value serves every stage that shares a time.  All
+    arithmetic broadcasts, so q, p and c may be floats or arrays, e.g. one
+    lane per sweep frequency.  LINEAR_TEST is unforced and ignores ``c``.
     """
-    w = model.omega if omega is None else omega
     k = model.kind
     if k is ModelKind.DUFFING_CLASSIC:
         d, a, b, g = model.delta, model.alpha, model.beta, model.gamma
 
-        def f(q, p, t):
-            return p, g * cos(w * t) - d * p - a * q - b * q * q * q
+        def f(q, p, c):
+            return p, g * c - d * p - a * q - b * q * q * q
 
     elif k is ModelKind.DUFFING_HOMOTOPY:
         lam = model.lambda_h
         d, a, b, g = model.delta, model.alpha, model.beta, model.gamma
 
-        def f(q, p, t):
-            return p, lam * (g * cos(w * t) - d * p - a * q - b * q * q * q)
+        def f(q, p, c):
+            return p, lam * (g * c - d * p - a * q - b * q * q * q)
 
     elif k is ModelKind.DUFFING_CHAOS:
         d, g = model.delta, model.gamma
 
-        def f(q, p, t):
-            return p, q - q * q * q - d * p + g * cos(w * t)
+        def f(q, p, c):
+            return p, q - q * q * q - d * p + g * c
 
     elif k is ModelKind.DUFFING_QUINTIC:
         d, b, g = model.delta, model.beta, model.gamma
 
-        def f(q, p, t):
+        def f(q, p, c):
             q3 = q * q * q
-            return p, q + b * q3 - d * p + g * cos(w * t) - g * q3 * q * q
+            return p, q + b * q3 - d * p + g * c - g * q3 * q * q
 
     elif k is ModelKind.ECOLOGY:
         a_c, al, b = model.coupling_a, model.alpha, model.beta
 
-        def f(q, p, t):
+        def f(q, p, c):
             q3 = q * q * q
-            dq = -a_c * p - cos(w * t) - q3 + al * q3 * q * q
+            dq = -a_c * p - c - q3 + al * q3 * q * q
             return dq, b * dq
 
     elif k is ModelKind.LINEAR_TEST:
         d, a = model.delta, model.alpha
 
-        def f(q, p, t):
+        def f(q, p, c):
             return p, -d * p - a * q
 
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown model kind {k}")
     return f
+
+
+def forcing_omega(model: ModelSpec) -> float:
+    """The omega in the forcing value cos(omega*t) that ``rhs_fn`` takes.
+
+    0 for the unforced LINEAR_TEST, whose ``omega`` is never read: any value
+    there, even one for which omega*t overflows, leaves its runs unchanged.
+    """
+    return 0.0 if model.kind is ModelKind.LINEAR_TEST else model.omega
 
 
 def jac_fn(model: ModelSpec) -> Callable:
@@ -246,7 +256,7 @@ def rhs(model: ModelSpec, s: State) -> tuple[float, float]:
     Raises :class:`FlaggedOverflow` carrying ``s`` if the result is not
     finite.
     """
-    dq, dp = rhs_fn(model)(s.q, s.p, s.t)
+    dq, dp = rhs_fn(model)(s.q, s.p, math.cos(forcing_omega(model) * s.t))
     if not (math.isfinite(dq) and math.isfinite(dp)):
         raise FlaggedOverflow(f"non-finite rhs at t={s.t}", state=s)
     return dq, dp

@@ -15,6 +15,7 @@ from .dynamics import (
     ModelSpec,
     State,
     Trajectory,
+    forcing_omega,
     rhs_fn,
 )
 
@@ -58,7 +59,8 @@ class IntegrationConfig:
             raise ValueError("t_max must exceed t0")
         if (self.t_max - self.t0) / self.h < 1.0:
             raise ValueError("span must cover at least one step")
-        if int(self.record_stride) != self.record_stride or self.record_stride < 1:
+        stride = self.record_stride
+        if not math.isfinite(stride) or int(stride) != stride or stride < 1:
             raise ValueError("record_stride must be a positive integer")
 
     @property
@@ -66,16 +68,21 @@ class IntegrationConfig:
         return int(math.floor((self.t_max - self.t0) / self.h + 0.5))
 
 
-def _euler_update(f, q, p, t, h):
-    dq, dp = f(q, p, t)
+def _euler_update(f, q, p, h, c1):
+    dq, dp = f(q, p, c1)
     return q + h * dq, p + h * dp
 
 
-def _rk4_update(f, q, p, t, h):
-    k1q, k1p = f(q, p, t)
-    k2q, k2p = f(q + 0.5 * h * k1q, p + 0.5 * h * k1p, t + 0.5 * h)
-    k3q, k3p = f(q + 0.5 * h * k2q, p + 0.5 * h * k2p, t + 0.5 * h)
-    k4q, k4p = f(q + h * k3q, p + h * k3p, t + h)
+def _rk4_update(f, q, p, h, c1, c2, c4):
+    """One classical RK4 step of ``f(q, p, c)``, broadcasting over lanes.
+
+    c1, c2 and c4 are the forcing values cos(omega*t) at the step's three
+    distinct stage times t, t + 0.5*h and t + h; stages 2 and 3 share c2.
+    """
+    k1q, k1p = f(q, p, c1)
+    k2q, k2p = f(q + 0.5 * h * k1q, p + 0.5 * h * k1p, c2)
+    k3q, k3p = f(q + 0.5 * h * k2q, p + 0.5 * h * k2p, c2)
+    k4q, k4p = f(q + h * k3q, p + h * k3p, c4)
     return (
         q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q),
         p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
@@ -94,7 +101,9 @@ def step_euler(model: ModelSpec, s: State, h: float) -> State:
     if not h > 0:
         raise ValueError("h must be positive")
     try:
-        q, p = _euler_update(rhs_fn(model), s.q, s.p, s.t, h)
+        q, p = _euler_update(
+            rhs_fn(model), s.q, s.p, h, math.cos(forcing_omega(model) * s.t)
+        )
     except (OverflowError, ValueError):
         raise FlaggedOverflow(f"update overflowed at t={s.t}", state=s) from None
     return _checked(q, p, s.t + h)
@@ -104,8 +113,12 @@ def step_rk4(model: ModelSpec, s: State, h: float) -> State:
     """One classical 4-stage Runge-Kutta update (4 rhs evaluations)."""
     if not h > 0:
         raise ValueError("h must be positive")
+    w, t = forcing_omega(model), s.t
     try:
-        q, p = _rk4_update(rhs_fn(model), s.q, s.p, s.t, h)
+        q, p = _rk4_update(
+            rhs_fn(model), s.q, s.p, h,
+            math.cos(w * t), math.cos(w * (t + 0.5 * h)), math.cos(w * (t + h)),
+        )
     except (OverflowError, ValueError):
         raise FlaggedOverflow(f"update overflowed at t={s.t}", state=s) from None
     return _checked(q, p, s.t + h)
@@ -117,26 +130,42 @@ def integrate(model: ModelSpec, s0: State, cfg: IntegrationConfig) -> Trajectory
     Records s0, every ``record_stride``-th step, and the final state.  Step
     times are computed as t0 + i*h rather than accumulated.  On overflow the
     finite prefix is returned with ``diverged`` set instead of raising.
+
+    The forcing is evaluated once per distinct stage time: an RK4 step
+    reuses the previous step's cos(omega*(t + h)) as its cos(omega*t) exactly
+    when the two times are equal as floats, so the result is bit for bit
+    that of evaluating the forcing at every stage.
     """
     if s0.t != cfg.t0:
         raise ValueError("s0.t must equal cfg.t0")
     f = rhs_fn(model)
-    update = _rk4_update if cfg.method is Method.RK4 else _euler_update
+    cos, w = math.cos, forcing_omega(model)
+    rk4 = cfg.method is Method.RK4
     h, t0, n, stride = cfg.h, cfg.t0, cfg.n_steps, cfg.record_stride
 
     samples = [s0]
     q, p = s0.q, s0.p
+    t_end = c4 = math.nan
     last_recorded = 0
     diverged = False
     for i in range(1, n + 1):
+        t = t0 + (i - 1) * h
         try:
-            q_new, p_new = update(f, q, p, t0 + (i - 1) * h, h)
+            c1 = c4 if t == t_end else cos(w * t)
+            if rk4:
+                t_end = t + h
+                c4 = cos(w * t_end)
+                q_new, p_new = _rk4_update(
+                    f, q, p, h, c1, cos(w * (t + 0.5 * h)), c4
+                )
+            else:
+                q_new, p_new = _euler_update(f, q, p, h, c1)
         except (OverflowError, ValueError):
             q_new = p_new = math.inf
         if not (math.isfinite(q_new) and math.isfinite(p_new)):
             diverged = True
             if last_recorded < i - 1:
-                samples.append(State(q, p, t0 + (i - 1) * h))
+                samples.append(State(q, p, t))
             break
         q, p = q_new, p_new
         if i % stride == 0:

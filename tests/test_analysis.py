@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from duffinglab import analysis
 from duffinglab.analysis import (
     COMPARISON_FIXTURE,
     LyapunovConfig,
@@ -161,3 +162,28 @@ def test_lyapunov_overflow_aborts_with_partial_diagnostics():
     )
     assert res.diverged
     assert res.renorm_count >= 0
+
+
+def test_lyapunov_steps_get_textbook_forcing_values(monkeypatch):
+    # every tangent step must see cos(omega*t) at its own three stage times,
+    # whether or not the forcing was carried over from the previous step
+    seen = []
+    real_step = analysis._tangent_rk4_step
+
+    def recording_step(f, jac, q, p, cos1, cos2, cos4, *rest):
+        seen.append((cos1, cos2, cos4))
+        return real_step(f, jac, q, p, cos1, cos2, cos4, *rest)
+
+    monkeypatch.setattr(analysis, "_tangent_rk4_step", recording_step)
+    m = ModelSpec(kind=ModelKind.DUFFING_CHAOS, delta=0.05, gamma=0.2, omega=1.1)
+    t0, h = 0.37, 0.013
+    res = lyapunov_spectrum(m, State(0.1, 0.0, t0), LyapunovConfig(0.0, 200 * h, h))
+    assert not res.diverged and len(seen) == 200
+    starts = [t0 + i * h for i in range(200)]
+    reuse = [b == a + h for a, b in zip(starts, starts[1:])]
+    assert any(reuse) and not all(reuse)
+    w = m.omega
+    assert seen == [
+        (math.cos(w * t), math.cos(w * (t + 0.5 * h)), math.cos(w * (t + h)))
+        for t in starts
+    ]

@@ -270,6 +270,8 @@ def test_integer_field_rejects_fractional_override(capsys):
         ["bifurcate", "--preset", "BIF_CASE_1", "--omega-min=-inf"],
         ["bifurcate", "--preset", "BIF_CASE_1", "--samples", "inf"],
         ["bifurcate", "--preset", "BIF_CASE_1", "--set", "s0.t=-inf"],
+        # argparse reads a bare -inf as an option, so this one fails in parsing
+        ["bifurcate", "--preset", "BIF_CASE_1", "--omega-min", "-inf"],
     ],
 )
 def test_non_finite_input_is_usage_error(argv, capsys):
@@ -277,6 +279,30 @@ def test_non_finite_input_is_usage_error(argv, capsys):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("duffing-lab: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--preset", "CHAOS_A02", "--bogus"],
+        ["simulate", "--preset", "CHAOS_A02", "--h", "abc"],
+        ["simulate", "--preset", "CHAOS_A02", "--format", "xml"],
+        ["nope"],
+        [],
+    ],
+)
+def test_malformed_command_line_is_one_line_usage_error(argv, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("duffing-lab: ")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "-h"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_overflow_exits_2_with_partial_document(capsys):

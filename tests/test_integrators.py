@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from duffinglab.dynamics import ModelKind, ModelSpec, State, conserved_offset
+from duffinglab.analysis import LyapunovConfig, lyapunov_spectrum
+from duffinglab.bifurcation import preset
+from duffinglab.dynamics import ModelKind, ModelSpec, State, conserved_offset, rhs_fn
 from duffinglab.integrators import (
     IntegrationConfig,
     Method,
@@ -151,6 +154,96 @@ def test_integration_config_validation():
         IntegrationConfig(h=2.0, t0=0.0, t_max=1.0)
     with pytest.raises(ValueError):
         IntegrationConfig(h=0.1, t0=0.0, t_max=1.0, record_stride=0)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "field,build",
+    [
+        ("record_stride",
+         lambda v: IntegrationConfig(h=0.1, t0=0.0, t_max=1.0, record_stride=v)),
+        ("renorm_every",
+         lambda v: LyapunovConfig(t_transient=0.0, t_total=10.0, h=0.01,
+                                  renorm_every=v)),
+        ("n_samples", lambda v: dataclasses.replace(preset("BIF_CASE_1"), n_samples=v)),
+    ],
+    ids=["record_stride", "renorm_every", "n_samples"],
+)
+def test_non_finite_integer_field_is_value_error(field, build, value):
+    with pytest.raises(ValueError, match=field):
+        build(value)
+
+
+# Textbook steps that evaluate the forcing afresh at every stage: the
+# reference for integrate's once-per-distinct-stage-time forcing.
+def _textbook_euler(model, q, p, t, h):
+    dq, dp = rhs_fn(model)(q, p, math.cos(model.omega * t))
+    return q + h * dq, p + h * dp
+
+
+def _textbook_rk4(model, q, p, t, h):
+    f, w = rhs_fn(model), model.omega
+    k1q, k1p = f(q, p, math.cos(w * t))
+    k2q, k2p = f(q + 0.5 * h * k1q, p + 0.5 * h * k1p, math.cos(w * (t + 0.5 * h)))
+    k3q, k3p = f(q + 0.5 * h * k2q, p + 0.5 * h * k2p, math.cos(w * (t + 0.5 * h)))
+    k4q, k4p = f(q + h * k3q, p + h * k3p, math.cos(w * (t + h)))
+    return (
+        q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q),
+        p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
+    )
+
+
+ALL_KINDS = {
+    ModelKind.DUFFING_CLASSIC: dict(delta=0.1, alpha=1.0, beta=0.2, gamma=0.3,
+                                    omega=1.3),
+    ModelKind.DUFFING_HOMOTOPY: dict(delta=0.1, alpha=1.0, beta=0.2, gamma=0.3,
+                                     omega=1.3, lambda_h=0.5),
+    ModelKind.DUFFING_CHAOS: dict(delta=0.05, gamma=0.2, omega=1.1),
+    ModelKind.DUFFING_QUINTIC: dict(delta=0.05, beta=0.3, gamma=0.2, omega=0.7),
+    ModelKind.ECOLOGY: dict(coupling_a=0.2, beta=0.001, alpha=-0.0005, omega=0.9),
+    ModelKind.LINEAR_TEST: dict(delta=0.1, alpha=1.0),
+}
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_integrate_and_steps_equal_textbook_stages_bitwise(kind, method):
+    model = ModelSpec(kind=kind, **ALL_KINDS[kind])
+    textbook, step = {
+        Method.RK4: (_textbook_rk4, step_rk4),
+        Method.EULER: (_textbook_euler, step_euler),
+    }[method]
+    t0, h = 0.37, 0.013
+    cfg = IntegrationConfig(h=h, t0=t0, t_max=t0 + 300 * h, method=method)
+    starts = [t0 + i * h for i in range(cfg.n_steps)]
+    # the start time equals the previous step's end time for some steps only,
+    # so both branches of integrate's forcing reuse run
+    reuse = [b == a + h for a, b in zip(starts, starts[1:])]
+    assert any(reuse) and not all(reuse)
+
+    traj = integrate(model, State(0.1, -0.2, t0), cfg)
+    assert not traj.diverged and len(traj.samples) == cfg.n_steps + 1
+    q, p = 0.1, -0.2
+    for t, s in zip(starts, traj.samples[1:]):
+        stepped = step(model, State(q, p, t), h)
+        q, p = textbook(model, q, p, t, h)
+        assert (s.q, s.p) == (stepped.q, stepped.p) == (q, p)
+
+
+def test_unforced_kind_never_reads_omega():
+    # omega*t overflows to inf here; LINEAR_TEST must not evaluate its forcing
+    base = ModelSpec(kind=ModelKind.LINEAR_TEST, delta=0.1, alpha=1.0)
+    odd = dataclasses.replace(base, omega=1e308)
+    s0 = State(1.0, 0.0, 0.0)
+    for method in Method:
+        cfg = IntegrationConfig(h=0.1, t0=0.0, t_max=5.0, method=method)
+        traj = integrate(odd, s0, cfg)
+        assert not traj.diverged and traj.samples == integrate(base, s0, cfg).samples
+    s = State(1.0, 0.0, 3.0)
+    assert step_rk4(odd, s, 0.1) == step_rk4(base, s, 0.1)
+    assert step_euler(odd, s, 0.1) == step_euler(base, s, 0.1)
+    lcfg = LyapunovConfig(0.0, 5.0, 0.01)
+    assert lyapunov_spectrum(odd, s0, lcfg) == lyapunov_spectrum(base, s0, lcfg)
 
 
 def test_fd_lambda_zero_is_free_second_difference():
