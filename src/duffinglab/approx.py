@@ -46,8 +46,9 @@ class HomotopyApprox:
     def __post_init__(self):
         if not 0.0 <= self.lambda_h <= 1.0:
             raise ValueError(f"lambda_h must lie in [0, 1], got {self.lambda_h}")
-        if not math.isfinite(self.amplitude):
-            raise ValueError("amplitude must be finite")
+        for name in ("amplitude", "omega", "correction_coeff"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 # Worked low-amplitude, low-frequency instance; the CLI default.
@@ -143,5 +144,5 @@ def picard_solve(model: ModelSpec, s0: State, grid, k: int) -> Trajectory:
                 break
             q, p = q_new, p_new
 
-    samples = [State(float(qi), float(pi), float(ti)) for qi, pi, ti in zip(q, p, grid)]
+    samples = list(map(State, q.tolist(), p.tolist(), grid.tolist()))
     return Trajectory(samples=samples, model=model, diverged=diverged)

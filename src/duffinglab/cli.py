@@ -30,6 +30,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -137,35 +139,81 @@ def _jsonable(v):
     return v
 
 
+# A column whose values all have one of these exact types is rendered with a
+# single %-directive: '%.17g' % v == format(v, '.17g') for every float and
+# '%d' % n == str(n) for every int.  Other columns (bool, None, str, numpy
+# scalars, mixed types) go through _fmt value by value.
+_COLUMN_FORMATS = {float: "%.17g", int: "%d"}
+# Types json encodes as they are; any other row value goes through _jsonable.
+_JSON_NATIVE = frozenset({float, int, bool, str, type(None)})
+
+
 def render_csv(columns: list[str], rows: list[list]) -> str:
+    """Render rows under a header, one line per row, every row formatted by
+    one %-format built from the types found in each column."""
+    width = len(columns)
+    if set(map(len, rows)) - {width}:
+        raise ValueError(f"every row must have the header width {width}")
+    formats, by_value = [], []
+    for j in range(width):
+        types = set(map(type, map(itemgetter(j), rows)))
+        fmt = _COLUMN_FORMATS.get(types.pop()) if len(types) == 1 else None
+        if fmt is None:
+            fmt = "%s"
+            by_value.append(j)
+        formats.append(fmt)
+
+    def cells(row) -> tuple:
+        row = list(row)
+        for j in by_value:
+            row[j] = _fmt(row[j])
+        return tuple(row)
+
+    row_format = ",".join(formats)
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    lines.extend(map(row_format.__mod__, map(cells if by_value else tuple, rows)))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def render_json(command: str, config: dict, columns: list[str], rows: list[list]) -> str:
+    if set(map(type, chain.from_iterable(rows))) <= _JSON_NATIVE:
+        records = [dict(zip(columns, row)) for row in rows]
+    else:
+        records = [{c: _jsonable(v) for c, v in zip(columns, row)} for row in rows]
     doc = {
         "command": command,
         "config": {k: _jsonable(v) for k, v in config.items()},
-        "rows": [
-            {c: _jsonable(v) for c, v in zip(columns, row)} for row in rows
-        ],
+        "rows": records,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def read_csv_document(text: str) -> tuple[list[str], list[dict]]:
-    """Parse a CSV document emitted by this tool back into typed rows."""
-    lines = [ln for ln in text.split("\n") if ln != ""]
+    """Parse a CSV document emitted by this tool back into typed rows.
+
+    Rows are read as all-float until a row holds a token ``float`` rejects
+    (``true``, ``false``, ``undefined`` or text); from that row on every
+    token goes through ``_parse_token``, which gives the same value for
+    every token ``float`` accepts.
+    """
+    lines = list(filter(None, text.split("\n")))
     if not lines:
         raise ValueError("empty document")
     columns = lines[0].split(",")
+    width = len(columns)
     rows = []
-    for ln in lines[1:]:
+    numeric = True
+    for ln in islice(lines, 1, None):
         toks = ln.split(",")
-        if len(toks) != len(columns):
-            raise ValueError(f"row width {len(toks)} != header width {len(columns)}")
+        if len(toks) != width:
+            raise ValueError(f"row width {len(toks)} != header width {width}")
+        if numeric:
+            try:
+                rows.append(dict(zip(columns, map(float, toks))))
+                continue
+            except ValueError:
+                numeric = False
         rows.append({c: _parse_token(t) for c, t in zip(columns, toks)})
     return columns, rows
 
@@ -295,7 +343,7 @@ def _cmd_simulate(manifest: RunManifest):
     if s0.t != run_cfg.t0:
         s0 = State(s0.q, s0.p, run_cfg.t0)
     traj = integrate(model, s0, run_cfg)
-    rows = [[s.t, s.q, s.p] for s in traj.samples]
+    rows = [(s.t, s.q, s.p) for s in traj.samples]
     return cfg, rows, traj.diverged
 
 
@@ -308,7 +356,7 @@ def _cmd_picard(manifest: RunManifest):
     if s0.t != grid[0]:
         s0 = State(s0.q, s0.p, float(grid[0]))
     traj = picard_solve(model, s0, grid, cfg["picard.k"])
-    rows = [[s.t, s.q, s.p] for s in traj.samples]
+    rows = [(s.t, s.q, s.p) for s in traj.samples]
     return cfg, rows, traj.diverged
 
 
@@ -341,9 +389,7 @@ def _cmd_compare(manifest: RunManifest):
         other_name = "x_homotopy"
         hcfg = _build_homotopy(cfg)
         x_other = [float(homotopy_approx(hcfg, t)) for t in times]
-    rows = [
-        [t, xr, xo, abs(xr - xo)] for t, xr, xo in zip(times, x_ref, x_other)
-    ]
+    rows = [(t, xr, xo, abs(xr - xo)) for t, xr, xo in zip(times, x_ref, x_other)]
     columns = ["t", "x_rk4", other_name, "abs_diff"]
     return cfg, columns, rows, aborted
 
@@ -363,14 +409,14 @@ def _cmd_lyapunov(manifest: RunManifest):
     res = lyapunov_spectrum(model, s0, lcfg)
     reported = p.paper_reported or (None, None)
     rows = [
-        [
+        (
             res.exponents[0],
             res.exponents[1],
             res.sum_residual,
             res.renorm_count,
             reported[0],
             reported[1],
-        ]
+        )
     ]
     return cfg, rows, res.diverged
 
@@ -417,10 +463,9 @@ def _cmd_homotopy(manifest: RunManifest):
         hcfg.correction_coeff * hcfg.lambda_h**2 * np.cos(hcfg.omega * times)
     )
     total = homotopy_approx(hcfg, times)
-    rows = [
-        [float(t), float(a), float(b), float(c)]
-        for t, a, b, c in zip(times, primary, correction, total)
-    ]
+    rows = list(
+        zip(times.tolist(), primary.tolist(), correction.tolist(), total.tolist())
+    )
     return cfg, rows, False
 
 
@@ -432,7 +477,7 @@ def _cmd_fd(manifest: RunManifest):
     _apply_overrides(cfg, manifest.overrides)
     model = _build_model(cfg)
     xs = iterate_fd_duffing(model, cfg["fd.x0"], cfg["fd.x1"], cfg["fd.h"], cfg["fd.n"])
-    rows = [[k, float(x)] for k, x in enumerate(xs)]
+    rows = list(enumerate(xs.tolist()))
     return cfg, rows, len(xs) != cfg["fd.n"] + 1
 
 
@@ -462,7 +507,7 @@ def _cmd_bifurcate(manifest: RunManifest):
     )
     records = sweep_omega(sweep_cfg)
     rows = [
-        [r.omega, r.x_final, r.y_final, r.conservation_residual, r.diverged]
+        (r.omega, r.x_final, r.y_final, r.conservation_residual, r.diverged)
         for r in records
     ]
     return cfg, rows, False
@@ -476,7 +521,7 @@ def _cmd_rates(manifest: RunManifest):
     rows = []
     for n in range(errs.size - 1):
         rows.append(
-            [n, float(errs[n]), float(errs[n + 1]), convergence_rate(errs, n)]
+            (n, float(errs[n]), float(errs[n + 1]), convergence_rate(errs, n))
         )
     return {}, rows, False
 
@@ -526,7 +571,7 @@ def _cmd_presets(manifest: RunManifest):
     for case_id in PRESET_IDS:
         fields = _preset_fields(preset(case_id))
         for key in sorted(fields):
-            rows.append([case_id, key, fields[key]])
+            rows.append((case_id, key, fields[key]))
     return {}, rows, False
 
 
@@ -557,6 +602,9 @@ def run(manifest: RunManifest) -> int:
             columns = _CSV_COLUMNS[manifest.command]
     except (UsageError, ValueError) as e:
         print(f"duffing-lab: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # e.g. numpy refusing a buffer for fd.n=1e12
+        print(f"duffing-lab: request too large: {e}", file=sys.stderr)
         return 1
 
     if manifest.format == "csv":

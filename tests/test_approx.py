@@ -82,6 +82,15 @@ def test_homotopy_approx_validates_lambda():
         HomotopyApprox(0.05, 0.2, 1.1, 0.00015625)
 
 
+@pytest.mark.parametrize("field", ["amplitude", "omega", "correction_coeff"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_homotopy_approx_rejects_non_finite_fields(field, value):
+    args = {"amplitude": 0.05, "omega": 0.2, "lambda_h": 0.05, "correction_coeff": 1e-4}
+    args[field] = value
+    with pytest.raises(ValueError, match=field):
+        HomotopyApprox(**args)
+
+
 def test_bessel_j0_at_zero_is_exactly_one():
     assert bessel_j0(0.0) == 1.0
 

@@ -1,12 +1,18 @@
 import json
 import math
+import random
+import struct
+import sys
 
+import numpy as np
 import pytest
 
 from duffinglab.cli import (
     RunManifest,
     main,
     read_csv_document,
+    render_csv,
+    render_json,
     run,
     sweep_records_from_csv,
 )
@@ -272,10 +278,24 @@ def test_integer_field_rejects_fractional_override(capsys):
         ["bifurcate", "--preset", "BIF_CASE_1", "--set", "s0.t=-inf"],
         # argparse reads a bare -inf as an option, so this one fails in parsing
         ["bifurcate", "--preset", "BIF_CASE_1", "--omega-min", "-inf"],
+        ["homotopy", "--set", "homotopy.omega=nan"],
+        ["homotopy", "--set", "homotopy.correction_coeff=inf"],
+        [
+            "compare", "--preset", "CHAOS_A02", "--t-max", "1", "--with", "homotopy",
+            "--set", "homotopy.omega=nan",
+        ],
     ],
 )
 def test_non_finite_input_is_usage_error(argv, capsys):
     code, out, err = run_main(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("duffing-lab: ")
+
+
+def test_unallocatable_request_is_one_line_error(capsys):
+    # About 8 TB of doubles: numpy refuses the buffer at once, allocating nothing.
+    code, out, err = run_main(["fd", "--preset", "FD_PAPER", "--set", "fd.n=1e12"], capsys)
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("duffing-lab: ")
@@ -358,3 +378,197 @@ def test_run_manifest_api_writes_stdout(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("N,error_N,error_N1,rate\n")
+
+
+# -- renderer and parser against per-value references --------------------------
+#
+# The references are copies of the per-value renderer and parser that the
+# column-format CSV layer replaced; every document must stay byte-identical.
+
+
+def _ref_fmt(v) -> str:
+    if v is None:
+        return "undefined"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+def _ref_render_csv(columns, rows) -> str:
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_ref_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _ref_jsonable(v):
+    if isinstance(v, np.floating):
+        return float(v)
+    if isinstance(v, np.integer):
+        return int(v)
+    return v
+
+
+def _ref_render_json(command, config, columns, rows) -> str:
+    doc = {
+        "command": command,
+        "config": {k: _ref_jsonable(v) for k, v in config.items()},
+        "rows": [{c: _ref_jsonable(v) for c, v in zip(columns, row)} for row in rows],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _ref_parse_token(tok: str):
+    if tok == "true":
+        return True
+    if tok == "false":
+        return False
+    if tok == "undefined":
+        return None
+    try:
+        return float(tok)
+    except ValueError:
+        return tok
+
+
+def _ref_read_csv(text: str):
+    lines = [ln for ln in text.split("\n") if ln != ""]
+    if not lines:
+        raise ValueError("empty document")
+    columns = lines[0].split(",")
+    rows = []
+    for ln in lines[1:]:
+        toks = ln.split(",")
+        if len(toks) != len(columns):
+            raise ValueError(f"row width {len(toks)} != header width {len(columns)}")
+        rows.append({c: _ref_parse_token(t) for c, t in zip(columns, toks)})
+    return columns, rows
+
+
+_SPECIAL_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+    5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e308, -1e308, sys.float_info.max, 0.1, 1.0, 1e16, 123456789.0,
+]
+
+
+def _random_float(rng: random.Random) -> float:
+    if rng.random() < 0.2:
+        return rng.choice(_SPECIAL_FLOATS)
+    return struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+
+
+def _random_int(rng: random.Random) -> int:
+    big = rng.randrange(-(10**30), 10**30)
+    return rng.choice([0, -1, 2**63, -(2**63) - 1, 2**70 + 3, big])
+
+
+def _random_other(rng: random.Random):
+    return rng.choice([
+        True, False, None, "text", "",
+        np.float64(_random_float(rng)), np.int64(rng.randrange(-2**63, 2**63)),
+        np.float32(1.5), _random_float(rng), _random_int(rng),
+    ])
+
+
+_COLUMN_KINDS = {
+    "float": _random_float,
+    "int": _random_int,
+    "bool": lambda rng: rng.random() < 0.5,
+    "none": lambda rng: None,
+    "str": lambda rng: rng.choice(["a", "b c", "undefined", "1e5"]),
+    "np.float64": lambda rng: np.float64(_random_float(rng)),
+    "np.int64": lambda rng: np.int64(rng.randrange(-2**63, 2**63)),
+    "mixed": _random_other,
+}
+
+
+def _random_table(rng: random.Random):
+    kinds = [rng.choice(list(_COLUMN_KINDS)) for _ in range(rng.randint(1, 6))]
+    columns = [f"c{j}_{k}" for j, k in enumerate(kinds)]
+    make = tuple if rng.random() < 0.5 else list
+    n_rows = rng.choice([0, 1, 2, 50])
+    rows = [make(_COLUMN_KINDS[k](rng) for k in kinds) for _ in range(n_rows)]
+    return columns, rows
+
+
+def _same(a, b) -> bool:
+    """Equality of parsed documents that tells nan from nan and -0.0 from 0.0."""
+
+    def key(doc):
+        columns, rows = doc
+        return columns, [[(c, type(v), repr(v)) for c, v in r.items()] for r in rows]
+
+    return key(a) == key(b)
+
+
+def test_render_csv_equals_per_value_renderer():
+    rng = random.Random(20240501)
+    for _ in range(400):
+        columns, rows = _random_table(rng)
+        assert render_csv(columns, rows) == _ref_render_csv(columns, rows)
+
+
+def test_render_csv_float_and_int_columns_equal_per_value_renderer():
+    rng = random.Random(7)
+    rows = [(_random_float(rng), _random_int(rng)) for _ in range(20000)]
+    rows += [(v, 0) for v in _SPECIAL_FLOATS]
+    assert render_csv(["x", "n"], rows) == _ref_render_csv(["x", "n"], rows)
+
+
+def test_render_csv_rejects_a_row_of_another_width():
+    with pytest.raises(ValueError, match="header width 2"):
+        render_csv(["a", "b"], [(1.0, 2.0), (3.0,)])
+
+
+def test_render_json_equals_per_value_renderer():
+    rng = random.Random(11)
+    config = {"preset": "X", "a": np.float64(0.5), "n": np.int64(3), "b": 1.25}
+    for _ in range(200):
+        columns, rows = _random_table(rng)
+        got = render_json("simulate", config, columns, rows)
+        assert got == _ref_render_json("simulate", config, columns, rows)
+
+
+def test_read_csv_document_equals_per_token_parser():
+    rng = random.Random(3)
+    for _ in range(400):
+        columns, rows = _random_table(rng)
+        text = _ref_render_csv(columns, rows)
+        assert _same(read_csv_document(text), _ref_read_csv(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a,b\n1,2\n3,undefined\n4,5\n",  # numeric first row, sentinel later
+        "a,b\ntrue,1\n2,3\nfalse,nan\n",  # first row not numeric
+        "a,b\n-0,inf\n1e308,5e-324\n2,word\n-inf,true\n",
+        "N,rate\n0,1.5\n1,undefined\n2,0.25\n",
+        "a\n\n1\n\n\n-0\n",  # empty lines are skipped
+        "only,header\n",
+    ],
+)
+def test_read_csv_document_special_documents(text):
+    assert _same(read_csv_document(text), _ref_read_csv(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a,b\n1,2\n3\n",  # width error while rows are read as numbers
+        "a,b\ntrue,2\n3,4,5\n",  # and after a non-numeric row
+        "a,b\n1,2,3\n",
+    ],
+)
+def test_read_csv_document_row_width_error_keeps_its_message(text):
+    with pytest.raises(ValueError) as got:
+        read_csv_document(text)
+    with pytest.raises(ValueError) as want:
+        _ref_read_csv(text)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("row width ")
