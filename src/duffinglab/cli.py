@@ -29,19 +29,16 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from itertools import chain, islice
 from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import (
-    COMPARISON_FIXTURE,
-    LyapunovConfig,
-    convergence_rate,
-    lyapunov_spectrum,
-)
-from .approx import DEFAULT_HOMOTOPY, HomotopyApprox, homotopy_approx, picard_solve
+from .analysis import COMPARISON_FIXTURE, convergence_rate, lyapunov_spectrum
+from .approx import DEFAULT_HOMOTOPY, homotopy_approx, picard_solve
 from .bifurcation import (
     PRESET_IDS,
     DynamicsPreset,
@@ -50,40 +47,16 @@ from .bifurcation import (
     preset,
     sweep_omega,
 )
-from .dynamics import ModelKind, ModelSpec, State
-from .integrators import IntegrationConfig, Method, integrate, iterate_fd_duffing
+from .integrators import Method, integrate, iterate_fd_duffing
 
 __all__ = ["RunManifest", "run", "main", "read_csv_document", "sweep_records_from_csv"]
 
-COMMANDS = (
-    "simulate",
-    "fd",
-    "homotopy",
-    "picard",
-    "compare",
-    "lyapunov",
-    "bifurcate",
-    "rates",
-    "presets",
-)
-
-_CSV_COLUMNS = {
-    "simulate": ["t", "x", "v"],
-    "picard": ["t", "x", "v"],
-    "fd": ["n", "x"],
-    "homotopy": ["t", "x_primary", "x_correction", "x_total"],
-    "lyapunov": [
-        "lambda1",
-        "lambda2",
-        "sum_residual",
-        "renorm_count",
-        "paper_reported_lambda1",
-        "paper_reported_lambda2",
-    ],
-    "bifurcate": ["omega", "x_final", "y_final", "conservation_residual", "diverged"],
-    "rates": ["N", "error_N", "error_N1", "rate"],
-    "presets": ["preset", "field", "value"],
-}
+# The most work one request may ask for, in steps x lanes: a scalar run counts
+# its steps, a sweep lanes x steps, a Picard pass over an n-point grid n, the
+# homotopy series one per grid point, and compare both of its runs.  A full
+# preset sweep (500 lanes x 10^6 steps) is 5e8.  A larger request is refused
+# before anything is allocated or stepped.
+MAX_WORK = 10**9
 
 
 class UsageError(ValueError):
@@ -223,45 +196,55 @@ def sweep_records_from_csv(text: str):
     from .bifurcation import SweepRecord
 
     columns, rows = read_csv_document(text)
-    if columns != _CSV_COLUMNS["bifurcate"]:
+    if tuple(columns) != _COMMANDS["bifurcate"].columns:
         raise ValueError(f"not a bifurcate document: header {columns}")
-    return [
-        SweepRecord(
-            omega=r["omega"],
-            x_final=r["x_final"],
-            y_final=r["y_final"],
-            conservation_residual=r["conservation_residual"],
-            diverged=r["diverged"],
-        )
-        for r in rows
-    ]
+    return [SweepRecord(**r) for r in rows]
 
 
-# -- resolved configuration maps ----------------------------------------------
-
-_MODEL_FIELDS = ("delta", "alpha", "beta", "gamma", "omega", "lambda_h", "coupling_a")
+# -- configuration maps ---------------------------------------------------------
 
 
-def _model_map(m: ModelSpec) -> dict:
-    out = {"model.kind": m.kind.value}
-    for f in _MODEL_FIELDS:
-        out[f"model.{f}"] = getattr(m, f)
+def _section(name: str, obj) -> dict:
+    """The scalar fields of a config dataclass as ``name.field -> value``.
+
+    Enums become their ``.value``; nested dataclasses and ``case_id`` are
+    left out.
+    """
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name != "case_id" and not is_dataclass(value):
+            out[f"{name}.{f.name}"] = value.value if isinstance(value, Enum) else value
     return out
 
 
-def _build_model(cfg: dict) -> ModelSpec:
-    return ModelSpec(
-        kind=ModelKind(cfg["model.kind"]),
-        **{f: cfg[f"model.{f}"] for f in _MODEL_FIELDS},
-    )
+def _rebuild(obj, cfg: dict, name: str, **nested):
+    """``obj`` with every ``name.field`` that ``cfg`` holds, each converted to
+    the type of the field's current value (``run.method`` comes back a
+    ``Method``), and with the ``nested`` dataclasses swapped in."""
+    for f in fields(obj):
+        path = f"{name}.{f.name}"
+        if path in cfg:
+            nested[f.name] = type(getattr(obj, f.name))(cfg[path])
+    return replace(obj, **nested)
 
 
-def _s0_map(s: State) -> dict:
-    return {"s0.q": s.q, "s0.p": s.p, "s0.t": s.t}
-
-
-def _build_s0(cfg: dict) -> State:
-    return State(cfg["s0.q"], cfg["s0.p"], cfg["s0.t"])
+def preset_config(p) -> dict:
+    """Every dotted path of a preset with its value, ``paper_reported.*``
+    included: what ``presets`` lists and what each preset command starts from."""
+    if isinstance(p, SweepConfig):
+        sections = {"model": p.model_template, "s0": p.s0, "sweep": p}
+    elif isinstance(p, FdPreset):
+        sections = {"model": p.model, "fd": p}
+    else:
+        sections = {"model": p.model, "s0": p.s0, "run": p.integration,
+                    "lyapunov": p.lyapunov}
+    cfg = {}
+    for name, obj in sections.items():
+        cfg.update(_section(name, obj))
+    if getattr(p, "paper_reported", None) is not None:
+        cfg["paper_reported.lambda1"], cfg["paper_reported.lambda2"] = p.paper_reported
+    return cfg
 
 
 def _apply_overrides(cfg: dict, overrides: dict[str, float]) -> None:
@@ -269,194 +252,146 @@ def _apply_overrides(cfg: dict, overrides: dict[str, float]) -> None:
         if path not in cfg:
             raise UsageError(f"unknown override path {path!r}")
         current = cfg[path]
-        if isinstance(current, str):
+        if isinstance(current, (str, bool)):
             raise UsageError(f"field {path!r} is not numeric")
-        if isinstance(current, bool):
-            raise UsageError(f"field {path!r} is not numeric")
+        if not math.isfinite(value):
+            raise UsageError(f"field {path!r} must be finite, got {value}")
         if isinstance(current, int):
-            if not math.isfinite(value) or float(value) != int(value):
+            if float(value) != int(value):
                 raise UsageError(f"field {path!r} takes an integer, got {value}")
             cfg[path] = int(value)
         else:
             cfg[path] = float(value)
 
 
-def _require_preset(manifest: RunManifest, want, what: str):
+def _resolve(manifest: RunManifest, extra: dict | None = None):
+    """The manifest's preset and the command's config: the preset's paths
+    under the command's prefixes, then ``extra``, then the overrides."""
+    cmd = _COMMANDS[manifest.command]
     if manifest.preset is None:
         raise UsageError(f"command {manifest.command!r} requires --preset")
     try:
         p = preset(manifest.preset)
     except ValueError as e:
         raise UsageError(str(e)) from None
+    want, what = cmd.kind
     if not isinstance(p, want):
         raise UsageError(f"preset {manifest.preset!r} is not {what}")
-    return p
+    cfg = {"preset": manifest.preset}
+    paths = preset_config(p)
+    cfg.update((path, paths[path]) for path in paths if path.startswith(cmd.prefixes))
+    cfg.update(extra or {})
+    _apply_overrides(cfg, manifest.overrides)
+    return p, cfg
 
 
-# -- command handlers ----------------------------------------------------------
+def _steps(t0: float, t_max: float, h: float) -> float:
+    """The step count of a fixed-step run, floor((t_max - t0)/h + 0.5), as a
+    float so that an unbounded one is inf rather than an error."""
+    x = (t_max - t0) / h + 0.5
+    return float(math.floor(x)) if math.isfinite(x) else x
 
 
-def _dynamics_config(manifest: RunManifest, sections: tuple[str, ...]) -> dict:
-    p = _require_preset(manifest, DynamicsPreset, "a dynamics case")
-    cfg = {"preset": p.case_id}
-    cfg.update(_model_map(p.model))
-    cfg.update(_s0_map(p.s0))
-    if "run" in sections:
-        cfg.update(
-            {
-                "run.h": p.integration.h,
-                "run.t0": p.integration.t0,
-                "run.t_max": p.integration.t_max,
-            }
+def _bound(work: float) -> None:
+    if not work <= MAX_WORK:
+        raise UsageError(
+            f"request too large: {work:.3g} steps x lanes, more than {MAX_WORK:.0e}"
         )
-    if "record" in sections:
-        cfg["run.record_stride"] = p.integration.record_stride
-        cfg["run.method"] = p.integration.method.value
-    if "lyapunov" in sections:
-        cfg.update(
-            {
-                "lyapunov.t_transient": p.lyapunov.t_transient,
-                "lyapunov.t_total": p.lyapunov.t_total,
-                "lyapunov.h": p.lyapunov.h,
-                "lyapunov.renorm_every": p.lyapunov.renorm_every,
-            }
-        )
-    if "picard" in sections:
-        cfg["picard.k"] = 12
-    return cfg
 
 
-def _cmd_simulate(manifest: RunManifest):
-    cfg = _dynamics_config(manifest, ("run", "record"))
-    if manifest.method:
-        cfg["run.method"] = manifest.method.upper()
-    _apply_overrides(cfg, manifest.overrides)
-    model = _build_model(cfg)
-    s0 = _build_s0(cfg)
-    run_cfg = IntegrationConfig(
-        h=cfg["run.h"],
-        t0=cfg["run.t0"],
-        t_max=cfg["run.t_max"],
-        method=Method(cfg["run.method"]),
-        record_stride=cfg["run.record_stride"],
-    )
-    if s0.t != run_cfg.t0:
-        s0 = State(s0.q, s0.p, run_cfg.t0)
-    traj = integrate(model, s0, run_cfg)
-    rows = [(s.t, s.q, s.p) for s in traj.samples]
-    return cfg, rows, traj.diverged
-
-
-def _cmd_picard(manifest: RunManifest):
-    cfg = _dynamics_config(manifest, ("run", "picard"))
-    _apply_overrides(cfg, manifest.overrides)
-    model = _build_model(cfg)
-    s0 = _build_s0(cfg)
-    grid = _time_grid(cfg["run.t0"], cfg["run.t_max"], cfg["run.h"])
-    if s0.t != grid[0]:
-        s0 = State(s0.q, s0.p, float(grid[0]))
-    traj = picard_solve(model, s0, grid, cfg["picard.k"])
-    rows = [(s.t, s.q, s.p) for s in traj.samples]
-    return cfg, rows, traj.diverged
-
-
-def _cmd_compare(manifest: RunManifest):
-    cfg = _dynamics_config(manifest, ("run", "picard"))
-    against = manifest.compare_with
-    if against not in ("picard", "homotopy"):
-        raise UsageError("--with must be picard or homotopy")
-    cfg["with"] = against
-    if against == "homotopy":
-        cfg.update(_homotopy_map(DEFAULT_HOMOTOPY))
-    _apply_overrides(cfg, manifest.overrides)
-    model = _build_model(cfg)
-    s0 = _build_s0(cfg)
-    run_cfg = IntegrationConfig(
-        h=cfg["run.h"], t0=cfg["run.t0"], t_max=cfg["run.t_max"], method=Method.RK4
-    )
-    if s0.t != run_cfg.t0:
-        s0 = State(s0.q, s0.p, run_cfg.t0)
-    traj = integrate(model, s0, run_cfg)
-    times = [s.t for s in traj.samples]
-    x_ref = [s.q for s in traj.samples]
-    aborted = traj.diverged
-    if against == "picard":
-        other_name = "x_picard"
-        other_traj = picard_solve(model, s0, np.array(times), cfg["picard.k"])
-        x_other = [s.q for s in other_traj.samples]
-        aborted = aborted or other_traj.diverged
-    else:
-        other_name = "x_homotopy"
-        hcfg = _build_homotopy(cfg)
-        x_other = [float(homotopy_approx(hcfg, t)) for t in times]
-    rows = [(t, xr, xo, abs(xr - xo)) for t, xr, xo in zip(times, x_ref, x_other)]
-    columns = ["t", "x_rk4", other_name, "abs_diff"]
-    return cfg, columns, rows, aborted
-
-
-def _cmd_lyapunov(manifest: RunManifest):
-    p = _require_preset(manifest, DynamicsPreset, "a dynamics case")
-    cfg = _dynamics_config(manifest, ("lyapunov",))
-    _apply_overrides(cfg, manifest.overrides)
-    model = _build_model(cfg)
-    s0 = _build_s0(cfg)
-    lcfg = LyapunovConfig(
-        t_transient=cfg["lyapunov.t_transient"],
-        t_total=cfg["lyapunov.t_total"],
-        h=cfg["lyapunov.h"],
-        renorm_every=cfg["lyapunov.renorm_every"],
-    )
-    res = lyapunov_spectrum(model, s0, lcfg)
-    reported = p.paper_reported or (None, None)
-    rows = [
-        (
-            res.exponents[0],
-            res.exponents[1],
-            res.sum_residual,
-            res.renorm_count,
-            reported[0],
-            reported[1],
-        )
-    ]
-    return cfg, rows, res.diverged
-
-
-def _homotopy_map(h: HomotopyApprox) -> dict:
-    return {
-        "homotopy.amplitude": h.amplitude,
-        "homotopy.omega": h.omega,
-        "homotopy.lambda_h": h.lambda_h,
-        "homotopy.correction_coeff": h.correction_coeff,
-    }
-
-
-def _build_homotopy(cfg: dict) -> HomotopyApprox:
-    return HomotopyApprox(
-        amplitude=cfg["homotopy.amplitude"],
-        omega=cfg["homotopy.omega"],
-        lambda_h=cfg["homotopy.lambda_h"],
-        correction_coeff=cfg["homotopy.correction_coeff"],
-    )
-
-
-def _time_grid(t0: float, t_max: float, h: float) -> np.ndarray:
+def _time_grid(t0: float, t_max: float, h: float, passes: int = 1) -> np.ndarray:
+    """The grid t0 + i*h over [t0, t_max], once ``passes`` passes over it are
+    known to fit the work bound."""
     if not all(map(math.isfinite, (t0, t_max, h))):
         raise UsageError("t0, t_max and h must be finite")
     if not h > 0:
         raise UsageError("h must be positive")
     if not t_max > t0:
         raise UsageError("t_max must exceed t0")
-    n = int(math.floor((t_max - t0) / h + 0.5))
-    return t0 + h * np.arange(n + 1)
+    n = _steps(t0, t_max, h)
+    _bound((n + 1) * passes)
+    return t0 + h * np.arange(int(n) + 1)
+
+
+def _start(s0, t: float):
+    """``s0`` moved to the run's start time."""
+    return s0 if s0.t == t else replace(s0, t=t)
+
+
+# -- command handlers ------------------------------------------------------------
+#
+# Each returns (config, rows, aborted); ``run`` renders the rows under the
+# command's columns.
+
+
+def _cmd_simulate(manifest: RunManifest):
+    method = {"run.method": manifest.method.upper()} if manifest.method else {}
+    p, cfg = _resolve(manifest, method)
+    model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0")
+    run_cfg = _rebuild(p.integration, cfg, "run")
+    _bound(_steps(run_cfg.t0, run_cfg.t_max, run_cfg.h))
+    traj = integrate(model, _start(s0, run_cfg.t0), run_cfg)
+    return cfg, [(s.t, s.q, s.p) for s in traj.samples], traj.diverged
+
+
+def _cmd_picard(manifest: RunManifest):
+    p, cfg = _resolve(manifest, {"picard.k": 12})
+    model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0")
+    k = cfg["picard.k"]
+    grid = _time_grid(cfg["run.t0"], cfg["run.t_max"], cfg["run.h"], k)
+    traj = picard_solve(model, _start(s0, float(grid[0])), grid, k)
+    return cfg, [(s.t, s.q, s.p) for s in traj.samples], traj.diverged
+
+
+def _cmd_compare(manifest: RunManifest):
+    against = manifest.compare_with
+    if against not in ("picard", "homotopy"):
+        raise UsageError("--with must be picard or homotopy")
+    extra = {"picard.k": 12, "with": against}
+    if against == "homotopy":
+        extra.update(_section("homotopy", DEFAULT_HOMOTOPY))
+    p, cfg = _resolve(manifest, extra)
+    model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0")
+    # the reference run is always RK4 and records every step
+    run_cfg = replace(
+        _rebuild(p.integration, cfg, "run"), method=Method.RK4, record_stride=1
+    )
+    n = _steps(run_cfg.t0, run_cfg.t_max, run_cfg.h)
+    _bound(n + (n + 1) * (cfg["picard.k"] if against == "picard" else 1))
+    s0 = _start(s0, run_cfg.t0)
+    traj = integrate(model, s0, run_cfg)
+    times = [s.t for s in traj.samples]
+    x_ref = [s.q for s in traj.samples]
+    aborted = traj.diverged
+    if against == "picard":
+        other_traj = picard_solve(model, s0, np.array(times), cfg["picard.k"])
+        x_other = [s.q for s in other_traj.samples]
+        aborted = aborted or other_traj.diverged
+    else:
+        hcfg = _rebuild(DEFAULT_HOMOTOPY, cfg, "homotopy")
+        x_other = [float(homotopy_approx(hcfg, t)) for t in times]
+    rows = [(t, xr, xo, abs(xr - xo)) for t, xr, xo in zip(times, x_ref, x_other)]
+    return cfg, rows, aborted
+
+
+def _cmd_lyapunov(manifest: RunManifest):
+    p, cfg = _resolve(manifest)
+    model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0")
+    lcfg = _rebuild(p.lyapunov, cfg, "lyapunov")
+    _bound(_steps(0.0, lcfg.t_total, lcfg.h))
+    res = lyapunov_spectrum(model, s0, lcfg)
+    reported = p.paper_reported or (None, None)
+    rows = [(*res.exponents, res.sum_residual, res.renorm_count, *reported)]
+    return cfg, rows, res.diverged
 
 
 def _cmd_homotopy(manifest: RunManifest):
     if manifest.preset is not None:
         raise UsageError("homotopy takes no preset; configure via --set homotopy.*")
     cfg = {"grid.t0": 0.0, "grid.t_max": 40.0, "grid.h": 0.01}
-    cfg.update(_homotopy_map(DEFAULT_HOMOTOPY))
+    cfg.update(_section("homotopy", DEFAULT_HOMOTOPY))
     _apply_overrides(cfg, manifest.overrides)
-    hcfg = _build_homotopy(cfg)
+    hcfg = _rebuild(DEFAULT_HOMOTOPY, cfg, "homotopy")
     times = _time_grid(cfg["grid.t0"], cfg["grid.t_max"], cfg["grid.h"])
     primary = hcfg.amplitude * np.cos(hcfg.omega * times)
     correction = (
@@ -470,45 +405,21 @@ def _cmd_homotopy(manifest: RunManifest):
 
 
 def _cmd_fd(manifest: RunManifest):
-    p = _require_preset(manifest, FdPreset, "a finite-difference case")
-    cfg = {"preset": p.case_id}
-    cfg.update(_model_map(p.model))
-    cfg.update({"fd.x0": p.x0, "fd.x1": p.x1, "fd.h": p.h, "fd.n": p.n})
-    _apply_overrides(cfg, manifest.overrides)
-    model = _build_model(cfg)
-    xs = iterate_fd_duffing(model, cfg["fd.x0"], cfg["fd.x1"], cfg["fd.h"], cfg["fd.n"])
-    rows = list(enumerate(xs.tolist()))
-    return cfg, rows, len(xs) != cfg["fd.n"] + 1
+    p, cfg = _resolve(manifest)
+    fd = _rebuild(p, cfg, "fd", model=_rebuild(p.model, cfg, "model"))
+    _bound(fd.n)
+    xs = iterate_fd_duffing(fd.model, fd.x0, fd.x1, fd.h, fd.n)
+    return cfg, list(enumerate(xs.tolist())), len(xs) != fd.n + 1
 
 
 def _cmd_bifurcate(manifest: RunManifest):
-    p = _require_preset(manifest, SweepConfig, "a sweep case")
-    cfg = {"preset": manifest.preset}
-    cfg.update(_model_map(p.model_template))
-    cfg.update(_s0_map(p.s0))
-    cfg.update(
-        {
-            "sweep.omega_min": p.omega_min,
-            "sweep.omega_max": p.omega_max,
-            "sweep.n_samples": p.n_samples,
-            "sweep.t_max": p.t_max,
-            "sweep.h": p.h,
-        }
-    )
-    _apply_overrides(cfg, manifest.overrides)
-    sweep_cfg = SweepConfig(
-        model_template=_build_model(cfg),
-        omega_min=cfg["sweep.omega_min"],
-        omega_max=cfg["sweep.omega_max"],
-        n_samples=cfg["sweep.n_samples"],
-        s0=_build_s0(cfg),
-        t_max=cfg["sweep.t_max"],
-        h=cfg["sweep.h"],
-    )
-    records = sweep_omega(sweep_cfg)
+    p, cfg = _resolve(manifest)
+    model, s0 = _rebuild(p.model_template, cfg, "model"), _rebuild(p.s0, cfg, "s0")
+    sweep_cfg = _rebuild(p, cfg, "sweep", model_template=model, s0=s0)
+    _bound(sweep_cfg.n_samples * _steps(s0.t, sweep_cfg.t_max, sweep_cfg.h))
     rows = [
         (r.omega, r.x_final, r.y_final, r.conservation_residual, r.diverged)
-        for r in records
+        for r in sweep_omega(sweep_cfg)
     ]
     return cfg, rows, False
 
@@ -518,61 +429,95 @@ def _cmd_rates(manifest: RunManifest):
         raise UsageError("rates takes no preset")
     _apply_overrides({}, manifest.overrides)
     errs = COMPARISON_FIXTURE.errors
-    rows = []
-    for n in range(errs.size - 1):
-        rows.append(
-            (n, float(errs[n]), float(errs[n + 1]), convergence_rate(errs, n))
-        )
+    rows = [
+        (n, float(errs[n]), float(errs[n + 1]), convergence_rate(errs, n))
+        for n in range(errs.size - 1)
+    ]
     return {}, rows, False
-
-
-def _preset_fields(p) -> dict:
-    if isinstance(p, SweepConfig):
-        out = _model_map(p.model_template)
-        out.update(_s0_map(p.s0))
-        out.update(
-            {
-                "sweep.omega_min": p.omega_min,
-                "sweep.omega_max": p.omega_max,
-                "sweep.n_samples": p.n_samples,
-                "sweep.t_max": p.t_max,
-                "sweep.h": p.h,
-            }
-        )
-        return out
-    if isinstance(p, FdPreset):
-        out = _model_map(p.model)
-        out.update({"fd.x0": p.x0, "fd.x1": p.x1, "fd.h": p.h, "fd.n": p.n})
-        return out
-    out = _model_map(p.model)
-    out.update(_s0_map(p.s0))
-    out.update(
-        {
-            "run.h": p.integration.h,
-            "run.t0": p.integration.t0,
-            "run.t_max": p.integration.t_max,
-            "run.record_stride": p.integration.record_stride,
-            "run.method": p.integration.method.value,
-            "lyapunov.t_transient": p.lyapunov.t_transient,
-            "lyapunov.t_total": p.lyapunov.t_total,
-            "lyapunov.h": p.lyapunov.h,
-            "lyapunov.renorm_every": p.lyapunov.renorm_every,
-        }
-    )
-    if p.paper_reported is not None:
-        out["paper_reported.lambda1"] = p.paper_reported[0]
-        out["paper_reported.lambda2"] = p.paper_reported[1]
-    return out
 
 
 def _cmd_presets(manifest: RunManifest):
     _apply_overrides({}, manifest.overrides)
     rows = []
     for case_id in PRESET_IDS:
-        fields = _preset_fields(preset(case_id))
-        for key in sorted(fields):
-            rows.append((case_id, key, fields[key]))
+        paths = preset_config(preset(case_id))
+        rows.extend((case_id, path, paths[path]) for path in sorted(paths))
     return {}, rows, False
+
+
+# -- command table ---------------------------------------------------------------
+
+
+class _Command(NamedTuple):
+    """What the parser, the dispatcher and the handlers know of one command."""
+
+    handler: Callable[[RunManifest], tuple]
+    help: str
+    # CSV header; compare names its third column after --with
+    columns: tuple[str, ...]
+    # numeric flag -> the override path it sets
+    flags: dict[str, str] = {}
+    # (preset class, what it is called) for the commands that take a preset
+    kind: tuple = ()
+    # the preset paths the command's config keeps
+    prefixes: tuple[str, ...] = ()
+    # the keys besides the common ones that it takes ("method", "with")
+    keys: tuple[str, ...] = ()
+
+
+_NUMERIC_FLAGS = ("t_max", "h", "omega_min", "omega_max", "samples")
+_RUN_FLAGS = {"t_max": "run.t_max", "h": "run.h"}
+_DYNAMICS = (DynamicsPreset, "a dynamics case")
+_PICARD_PREFIXES = ("model.", "s0.", "run.h", "run.t0", "run.t_max")
+
+_COMMANDS = {
+    "simulate": _Command(
+        _cmd_simulate, "integrate a dynamics preset and emit the trajectory",
+        ("t", "x", "v"), _RUN_FLAGS, _DYNAMICS, ("model.", "s0.", "run."),
+        keys=("method",),
+    ),
+    "fd": _Command(
+        _cmd_fd, "run the explicit finite-difference displacement recurrence",
+        ("n", "x"), {"h": "fd.h"}, (FdPreset, "a finite-difference case"),
+        ("model.", "fd."),
+    ),
+    "homotopy": _Command(
+        _cmd_homotopy, "evaluate the truncated homotopy series on a time grid",
+        ("t", "x_primary", "x_correction", "x_total"),
+        {"t_max": "grid.t_max", "h": "grid.h"},
+    ),
+    "picard": _Command(
+        _cmd_picard, "solve by Picard iteration on a uniform grid",
+        ("t", "x", "v"), _RUN_FLAGS, _DYNAMICS, _PICARD_PREFIXES,
+    ),
+    "compare": _Command(
+        _cmd_compare, "tabulate RK4 against Picard (or the homotopy series)",
+        ("t", "x_rk4", "x_{with}", "abs_diff"), _RUN_FLAGS, _DYNAMICS,
+        _PICARD_PREFIXES, keys=("with",),
+    ),
+    "lyapunov": _Command(
+        _cmd_lyapunov, "estimate the Lyapunov spectrum of a dynamics preset",
+        ("lambda1", "lambda2", "sum_residual", "renorm_count",
+         "paper_reported_lambda1", "paper_reported_lambda2"),
+        {"t_max": "lyapunov.t_total", "h": "lyapunov.h"}, _DYNAMICS,
+        ("model.", "s0.", "lyapunov."),
+    ),
+    "bifurcate": _Command(
+        _cmd_bifurcate, "sweep forcing frequency and record terminal states",
+        ("omega", "x_final", "y_final", "conservation_residual", "diverged"),
+        {"t_max": "sweep.t_max", "h": "sweep.h", "omega_min": "sweep.omega_min",
+         "omega_max": "sweep.omega_max", "samples": "sweep.n_samples"},
+        (SweepConfig, "a sweep case"), ("model.", "s0.", "sweep."),
+    ),
+    "rates": _Command(
+        _cmd_rates, "successive-error convergence rates of the bundled table",
+        ("N", "error_N", "error_N1", "rate"),
+    ),
+    "presets": _Command(
+        _cmd_presets, "list preset ids with their parameter values",
+        ("preset", "field", "value"),
+    ),
+}
 
 
 # -- dispatch -------------------------------------------------------------------
@@ -581,32 +526,20 @@ def _cmd_presets(manifest: RunManifest):
 def run(manifest: RunManifest) -> int:
     """Execute a manifest, writing one CSV/JSON document to its output path."""
     try:
-        if manifest.command not in COMMANDS:
+        cmd = _COMMANDS.get(manifest.command)
+        if cmd is None:
             raise UsageError(f"unknown command {manifest.command!r}")
         if manifest.format not in ("csv", "json"):
             raise UsageError(f"unknown format {manifest.format!r}")
-        if manifest.command == "compare":
-            cfg, columns, rows, aborted = _cmd_compare(manifest)
-        else:
-            handler = {
-                "simulate": _cmd_simulate,
-                "picard": _cmd_picard,
-                "lyapunov": _cmd_lyapunov,
-                "homotopy": _cmd_homotopy,
-                "fd": _cmd_fd,
-                "bifurcate": _cmd_bifurcate,
-                "rates": _cmd_rates,
-                "presets": _cmd_presets,
-            }[manifest.command]
-            cfg, rows, aborted = handler(manifest)
-            columns = _CSV_COLUMNS[manifest.command]
+        cfg, rows, aborted = cmd.handler(manifest)
     except (UsageError, ValueError) as e:
         print(f"duffing-lab: {e}", file=sys.stderr)
         return 1
-    except MemoryError as e:  # e.g. numpy refusing a buffer for fd.n=1e12
+    except MemoryError as e:  # numpy refusing a buffer the work bound admits
         print(f"duffing-lab: request too large: {e}", file=sys.stderr)
         return 1
 
+    columns = [c.format_map(cfg) for c in cmd.columns]
     if manifest.format == "csv":
         doc = render_csv(columns, rows)
     else:
@@ -648,10 +581,15 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return entries
 
 
+# Config-file keys, each also the dest of its flag, that set a RunManifest
+# field instead of an override path.
+_MANIFEST_KEYS = {"preset": "preset", "format": "format", "out": "output_path",
+                  "with": "compare_with", "method": "method"}
+
+
 def build_manifest(args: argparse.Namespace) -> RunManifest:
-    file_entries: dict[str, str] = {}
-    if args.config:
-        file_entries = _parse_config_file(args.config)
+    cmd = _COMMANDS[args.command]
+    file_entries = _parse_config_file(args.config) if args.config else {}
 
     overrides: dict[str, float] = {}
 
@@ -665,18 +603,13 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
     for key, value in file_entries.items():
         if key == "command":
             continue  # the argv command wins
-        elif key == "preset":
-            manifest.preset = value
-        elif key == "format":
-            manifest.format = value
-        elif key == "out":
-            manifest.output_path = value
-        elif key == "with":
-            manifest.compare_with = value
-        elif key == "method":
-            manifest.method = value
-        else:
+        attr = _MANIFEST_KEYS.get(key)
+        if attr is None:
             add_override(key, value)
+        elif key in ("with", "method") and key not in cmd.keys:
+            raise UsageError(f"config key {key!r} does not apply to {args.command!r}")
+        else:
+            setattr(manifest, attr, value)
 
     for item in args.set or []:
         if "=" not in item:
@@ -684,48 +617,22 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
         path, _, raw = item.partition("=")
         add_override(path.strip(), raw.strip())
 
-    flag_paths = {
-        "t_max": {
-            "simulate": "run.t_max",
-            "picard": "run.t_max",
-            "compare": "run.t_max",
-            "homotopy": "grid.t_max",
-            "lyapunov": "lyapunov.t_total",
-            "bifurcate": "sweep.t_max",
-        },
-        "h": {
-            "simulate": "run.h",
-            "picard": "run.h",
-            "compare": "run.h",
-            "homotopy": "grid.h",
-            "lyapunov": "lyapunov.h",
-            "bifurcate": "sweep.h",
-            "fd": "fd.h",
-        },
-        "omega_min": {"bifurcate": "sweep.omega_min"},
-        "omega_max": {"bifurcate": "sweep.omega_max"},
-        "samples": {"bifurcate": "sweep.n_samples"},
-    }
-    for flag, by_command in flag_paths.items():
+    for flag in _NUMERIC_FLAGS:
         value = getattr(args, flag, None)
         if value is None:
             continue
-        path = by_command.get(args.command)
+        path = cmd.flags.get(flag)
         if path is None:
-            raise UsageError(f"--{flag.replace('_', '-')} does not apply to {args.command!r}")
+            raise UsageError(
+                f"--{flag.replace('_', '-')} does not apply to {args.command!r}"
+            )
         overrides[path] = float(value)
 
     manifest.overrides = overrides
-    if args.preset is not None:
-        manifest.preset = args.preset
-    if args.format is not None:
-        manifest.format = args.format
-    if args.out is not None:
-        manifest.output_path = args.out
-    if getattr(args, "compare_with", None) is not None:
-        manifest.compare_with = args.compare_with
-    if getattr(args, "method", None) is not None:
-        manifest.method = args.method
+    for key, attr in _MANIFEST_KEYS.items():
+        value = getattr(args, key, None)
+        if value is not None:
+            setattr(manifest, attr, value)
     return manifest
 
 
@@ -743,19 +650,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate, analyze and sweep the bundled oscillator models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "simulate": "integrate a dynamics preset and emit the trajectory",
-        "fd": "run the explicit finite-difference displacement recurrence",
-        "homotopy": "evaluate the truncated homotopy series on a time grid",
-        "picard": "solve by Picard iteration on a uniform grid",
-        "compare": "tabulate RK4 against Picard (or the homotopy series)",
-        "lyapunov": "estimate the Lyapunov spectrum of a dynamics preset",
-        "bifurcate": "sweep forcing frequency and record terminal states",
-        "rates": "successive-error convergence rates of the bundled table",
-        "presets": "list preset ids with their parameter values",
-    }
-    for command in COMMANDS:
-        p = sub.add_parser(command, help=descriptions[command])
+    for command, cmd in _COMMANDS.items():
+        p = sub.add_parser(command, help=cmd.help)
         p.add_argument("--preset", help="preset id (see the presets command)")
         p.add_argument(
             "--set",
@@ -764,21 +660,17 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override a numeric field, e.g. --set model.delta=0.1",
         )
         p.add_argument("--config", help="key=value file applied before flags")
-        p.add_argument("--t-max", type=float, dest="t_max")
-        p.add_argument("--h", type=float)
-        p.add_argument("--omega-min", type=float, dest="omega_min")
-        p.add_argument("--omega-max", type=float, dest="omega_max")
-        p.add_argument("--samples", type=float)
+        for flag in _NUMERIC_FLAGS:
+            p.add_argument("--" + flag.replace("_", "-"), type=float, dest=flag)
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--out", help="output path, '-' for stdout (default)")
-        if command == "compare":
+        if "with" in cmd.keys:
             p.add_argument(
                 "--with",
-                dest="compare_with",
                 choices=("picard", "homotopy"),
                 help="comparison method (default picard)",
             )
-        if command == "simulate":
+        if "method" in cmd.keys:
             p.add_argument("--method", choices=("euler", "rk4"))
     return parser
 

@@ -3,11 +3,14 @@ import math
 import random
 import struct
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from duffinglab.analysis import LyapunovResult
 from duffinglab.cli import (
+    MAX_WORK,
     RunManifest,
     main,
     read_csv_document,
@@ -16,6 +19,7 @@ from duffinglab.cli import (
     run,
     sweep_records_from_csv,
 )
+from duffinglab.dynamics import State, Trajectory
 
 
 def run_main(argv, capsys):
@@ -284,6 +288,19 @@ def test_integer_field_rejects_fractional_override(capsys):
             "compare", "--preset", "CHAOS_A02", "--t-max", "1", "--with", "homotopy",
             "--set", "homotopy.omega=nan",
         ],
+        # model and state overrides used to run and be reported as overflow
+        ["simulate", "--preset", "CHAOS_A02", "--t-max", "1", "--set", "s0.q=nan"],
+        [
+            "simulate", "--preset", "CHAOS_A02", "--t-max", "1",
+            "--set", "model.delta=inf",
+        ],
+        ["lyapunov", "--preset", "CHAOS_A02", "--set", "s0.q=inf"],
+        ["fd", "--preset", "FD_PAPER", "--set", "fd.x0=nan"],
+        [
+            "bifurcate", "--preset", "BIF_CASE_1", "--samples", "3", "--t-max", "1",
+            "--set", "model.alpha=nan",
+        ],
+        ["picard", "--preset", "CHAOS_A02", "--t-max", "1", "--set", "s0.t=nan"],
     ],
 )
 def test_non_finite_input_is_usage_error(argv, capsys):
@@ -378,6 +395,215 @@ def test_run_manifest_api_writes_stdout(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("N,error_N,error_N1,rate\n")
+
+
+def test_config_file_takes_only_the_keys_its_command_has(tmp_path, capsys):
+    def with_file(argv, text):
+        conf = tmp_path / "run.conf"
+        conf.write_text(text)
+        return run_main(argv + ["--config", str(conf)], capsys)
+
+    for argv, key in [
+        (["picard", "--preset", "CHAOS_A02", "--t-max", "1"], "method=euler"),
+        (["lyapunov", "--preset", "CHAOS_A02"], "with=homotopy"),
+        (["simulate", "--preset", "CHAOS_A02", "--t-max", "1"], "with=homotopy"),
+        (["compare", "--preset", "CHAOS_A02", "--t-max", "1"], "method=euler"),
+    ]:
+        code, out, err = with_file(argv, key + "\n")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "does not apply" in err
+
+    argv = ["simulate", "--preset", "CHAOS_A02", "--t-max", "1"]
+    code, out, _ = with_file(argv, "method=euler\n")
+    assert code == 0
+    assert out == run_main(argv + ["--method", "euler"], capsys)[1]
+
+
+# -- the work bound -------------------------------------------------------------
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Swaps every solver ``duffinglab.cli`` calls for a stub that records its
+    arguments and returns a minimal valid result at once."""
+    import duffinglab.cli as cli
+
+    calls = {}
+
+    def integrate(model, s0, cfg):
+        calls["integrate"] = dict(model=model, s0=s0, cfg=cfg)
+        return Trajectory([s0, State(s0.q, s0.p, s0.t + cfg.h)], model)
+
+    def picard_solve(model, s0, grid, k):
+        calls["picard_solve"] = dict(model=model, s0=s0, grid=grid, k=k)
+        return Trajectory([State(s0.q, s0.p, t) for t in grid[:2]], model)
+
+    def homotopy_approx(cfg, t):
+        calls["homotopy_approx"] = dict(cfg=cfg, t=t)
+        return 0.0 * t
+
+    def lyapunov_spectrum(model, s0, cfg):
+        calls["lyapunov_spectrum"] = dict(model=model, s0=s0, cfg=cfg)
+        return LyapunovResult((0.0, 0.0), 0.0, 0, cfg.t_transient)
+
+    def iterate_fd_duffing(params, x0, x1, h, n):
+        calls["iterate_fd_duffing"] = dict(params=params, x0=x0, x1=x1, h=h, n=n)
+        return np.zeros(n + 1)
+
+    def sweep_omega(cfg):
+        calls["sweep_omega"] = dict(cfg=cfg)
+        return []
+
+    stubs = (integrate, picard_solve, homotopy_approx, lyapunov_spectrum,
+             iterate_fd_duffing, sweep_omega)
+    for stub in stubs:
+        monkeypatch.setattr(cli, stub.__name__, stub)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each of these ran until a timeout stopped it
+        ["simulate", "--preset", "CHAOS_A02", "--h", "1e-300"],
+        ["lyapunov", "--preset", "CHAOS_A02", "--set", "lyapunov.h=1e-300"],
+        ["bifurcate", "--preset", "BIF_CASE_1", "--samples", "1e7"],
+        ["picard", "--preset", "CHAOS_A02", "--t-max", "1", "--set", "picard.k=1e9"],
+        # 100 RK4 steps plus 1e7 Picard passes over 101 points
+        ["compare", "--preset", "CHAOS_A02", "--t-max", "1", "--set", "picard.k=1e7"],
+        ["homotopy", "--h", "1e-300"],
+        ["fd", "--preset", "FD_PAPER", "--set", "fd.n=1e12"],
+        # (t_max - t0)/h is inf: this one was an OverflowError traceback
+        ["simulate", "--preset", "CHAOS_A02", "--h", "5e-324"],
+    ],
+)
+def test_request_over_the_work_bound_is_one_line_error(argv, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("duffing-lab: request too large: ")
+
+
+def test_work_bound_admits_exactly_max_work(solver_calls, capsys):
+    # BIF_CASE_1 runs 10^6 steps per lane
+    lanes = MAX_WORK // 10**6
+    argv = ["bifurcate", "--preset", "BIF_CASE_1", "--samples"]
+    assert run_main(argv + [str(lanes)], capsys)[0] == 0
+    assert solver_calls["sweep_omega"]["cfg"].n_samples == lanes
+    code, _, err = run_main(argv + [str(lanes + 1)], capsys)
+    assert code == 1 and "request too large" in err
+
+
+def _preset_argvs():
+    dynamics = ["CHAOS_A02", "ECO_DYN_1", "ECO_DYN_2", "QUINTIC_A00025",
+                "QUINTIC_A0002", "QUINTIC_A000025"]
+    for case in dynamics:
+        for command in ("simulate", "picard", "compare", "lyapunov"):
+            yield [command, "--preset", case]
+        yield ["compare", "--preset", case, "--with", "homotopy"]
+    for case in ("BIF_CASE_1", "BIF_CASE_2", "BIF_CASE_3"):
+        yield ["bifurcate", "--preset", case]
+    yield ["fd", "--preset", "FD_PAPER"]
+    yield ["homotopy"]
+
+
+def test_every_preset_at_full_size_is_under_the_work_bound(solver_calls, capsys):
+    for argv in _preset_argvs():
+        code, _, err = run_main(argv, capsys)
+        assert (code, err) == (0, ""), argv
+
+
+# -- every override path reaches its solver ---------------------------------------
+
+
+def _grid_view(grid):
+    return SimpleNamespace(t0=grid[0], h=grid[1] - grid[0], t_max=grid[-1])
+
+
+def _received(calls) -> dict:
+    """The object each override section reached, from the recorded calls."""
+    got = {}
+    if "sweep_omega" in calls:
+        cfg = calls["sweep_omega"]["cfg"]
+        got.update(model=cfg.model_template, s0=cfg.s0, sweep=cfg)
+    if "iterate_fd_duffing" in calls:
+        a = calls["iterate_fd_duffing"]
+        got.update(model=a["params"], fd=SimpleNamespace(**a))
+    if "lyapunov_spectrum" in calls:
+        a = calls["lyapunov_spectrum"]
+        got.update(model=a["model"], s0=a["s0"], lyapunov=a["cfg"])
+    if "picard_solve" in calls:
+        a = calls["picard_solve"]
+        got.update(model=a["model"], s0=a["s0"], run=_grid_view(a["grid"]),
+                   picard=SimpleNamespace(k=a["k"]))
+    if "integrate" in calls:  # compare: the RK4 run, not its grid, carries run.*
+        a = calls["integrate"]
+        got.update(model=a["model"], s0=a["s0"], run=a["cfg"])
+    if "homotopy_approx" in calls:
+        a = calls["homotopy_approx"]
+        got["homotopy"] = a["cfg"]
+        if isinstance(a["t"], np.ndarray):
+            got["grid"] = _grid_view(a["t"])
+    return got
+
+
+def _numeric_paths(argv, tmp_path) -> dict:
+    out = tmp_path / "config.json"
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    return {k: v for k, v in config.items()
+            if isinstance(v, (int, float)) and not isinstance(v, bool)}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--preset", "CHAOS_A02"],
+        ["picard", "--preset", "CHAOS_A02"],
+        ["compare", "--preset", "CHAOS_A02"],
+        ["compare", "--preset", "CHAOS_A02", "--with", "homotopy"],
+        ["lyapunov", "--preset", "CHAOS_A02"],
+        ["fd", "--preset", "FD_PAPER"],
+        ["bifurcate", "--preset", "BIF_CASE_1"],
+        ["homotopy"],
+    ],
+)
+def test_every_override_path_reaches_its_solver(argv, solver_calls, tmp_path, capsys):
+    paths = _numeric_paths(argv, tmp_path)
+    assert paths
+    for path, old in paths.items():
+        # simulate, picard and compare start at run.t0, whatever s0.t says;
+        # compare --with homotopy lists picard.k but runs no Picard pass
+        if path == "s0.t" and argv[0] in ("simulate", "picard", "compare"):
+            continue
+        if path == "picard.k" and "homotopy" in argv:
+            continue
+        new = old + 1 if isinstance(old, int) else (old * 1.5 if old else 0.125)
+        solver_calls.clear()
+        assert main(argv + ["--set", f"{path}={new!r}"]) == 0, path
+        section, name = path.split(".")
+        got = getattr(_received(solver_calls)[section], name)
+        if section == "grid" or (argv[0] == "picard" and section == "run"):
+            assert got == pytest.approx(new, rel=1e-9), path
+        else:
+            assert got == new and type(got) is type(new), path
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["picard", "--preset", "CHAOS_A02", "--set", "run.record_stride=2"],
+        ["lyapunov", "--preset", "CHAOS_A02", "--set", "run.h=0.1"],
+        ["fd", "--preset", "FD_PAPER", "--set", "s0.q=1"],
+        ["bifurcate", "--preset", "BIF_CASE_1", "--set", "run.h=0.1"],
+    ],
+)
+def test_other_commands_paths_stay_unknown(argv, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert code == 1 and out == ""
+    assert "unknown override path" in err
 
 
 # -- renderer and parser against per-value references --------------------------
