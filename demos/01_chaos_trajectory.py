@@ -14,15 +14,14 @@ from duffinglab import integrate, preset
 pr = preset("CHAOS_A02")
 traj = integrate(pr.model, pr.s0, pr.integration)
 
-q = traj.qs()
-p = traj.ps()
-print(f"integrated {len(traj.samples)} states up to t = {traj.samples[-1].t:g}")
+t, q, p = traj.t, traj.q, traj.p
+print(f"integrated {t.size} states up to t = {t[-1]:g}")
 print(f"displacement range: [{q.min():.3f}, {q.max():.3f}]")
 print(f"velocity range:     [{p.min():.3f}, {p.max():.3f}]")
 print(f"time in the right-hand well: {np.mean(q > 0) * 100:.1f}%")
 
 out = pathlib.Path(__file__).with_suffix(".csv")
 header = "t,x,v"
-np.savetxt(out, np.column_stack([traj.times(), q, p]), delimiter=",",
+np.savetxt(out, np.column_stack([t, q, p]), delimiter=",",
            header=header, comments="")
 print(f"wrote {out}")

@@ -26,7 +26,7 @@ grid = np.arange(0.0, 1.0 + 5e-4, 1e-3)
 rk4 = integrate(model, s0, IntegrationConfig(h=1e-3, t0=0.0, t_max=1.0))
 
 def qp(traj):
-    return np.column_stack([traj.qs(), traj.ps()])
+    return np.column_stack([traj.q, traj.p])
 
 
 prev = qp(picard_solve(model, s0, grid, k=0))
@@ -34,6 +34,6 @@ print("iterate  max move     max |picard - rk4| (displacement)")
 for k in range(1, 13):
     cur = qp(picard_solve(model, s0, grid, k=k))
     move = np.max(np.abs(cur - prev))
-    gap = np.max(np.abs(cur[:, 0] - rk4.qs()))
+    gap = np.max(np.abs(cur[:, 0] - rk4.q))
     print(f"  {k:2d}     {move:.3e}    {gap:.3e}")
     prev = cur

@@ -111,7 +111,8 @@ def picard_solve(model: ModelSpec, s0: State, grid, k: int) -> Trajectory:
         x[j+1](t) = s0 + integral from s0.t to t of rhs(model, x[j])
 
     with the integral taken by the composite trapezoid rule on ``grid``.
-    Returns the k-th iterate sampled on the grid.  A non-finite iterate
+    Returns the k-th iterate sampled on the grid, whose ``t`` column is
+    ``grid`` itself when that is a float64 array.  A non-finite iterate
     aborts, returning the last finite iterate flagged as diverged.
     """
     grid = np.asarray(grid, dtype=float)
@@ -144,5 +145,4 @@ def picard_solve(model: ModelSpec, s0: State, grid, k: int) -> Trajectory:
                 break
             q, p = q_new, p_new
 
-    samples = list(map(State, q.tolist(), p.tolist(), grid.tolist()))
-    return Trajectory(samples=samples, model=model, diverged=diverged)
+    return Trajectory(grid, q, p, model, diverged)

@@ -57,6 +57,11 @@ __all__ = ["RunManifest", "run", "main", "read_csv_document", "sweep_records_fro
 # preset sweep (500 lanes x 10^6 steps) is 5e8.  A larger request is refused
 # before anything is allocated or stepped.
 MAX_WORK = 10**9
+# The most rows one request may record, refused at the same point: simulate's
+# recorded samples, the grid points of picard, compare and homotopy, fd.n + 1,
+# and one per sweep lane.  The largest preset documents, picard and compare on
+# ECO_DYN_1/2, hold 10^6 steps and the start.
+MAX_ROWS = 10**6 + 1
 
 
 class UsageError(ValueError):
@@ -292,16 +297,20 @@ def _steps(t0: float, t_max: float, h: float) -> float:
     return float(math.floor(x)) if math.isfinite(x) else x
 
 
-def _bound(work: float) -> None:
+def _bound(work: float, rows: float) -> None:
     if not work <= MAX_WORK:
         raise UsageError(
             f"request too large: {work:.3g} steps x lanes, more than {MAX_WORK:.0e}"
         )
+    if not rows <= MAX_ROWS:
+        raise UsageError(
+            f"request too large: {rows:.0f} rows, more than {MAX_ROWS}"
+        )
 
 
 def _time_grid(t0: float, t_max: float, h: float, passes: int = 1) -> np.ndarray:
-    """The grid t0 + i*h over [t0, t_max], once ``passes`` passes over it are
-    known to fit the work bound."""
+    """The grid t0 + i*h over [t0, t_max], once it is known to fit the row
+    bound and ``passes`` passes over it the work bound."""
     if not all(map(math.isfinite, (t0, t_max, h))):
         raise UsageError("t0, t_max and h must be finite")
     if not h > 0:
@@ -309,7 +318,7 @@ def _time_grid(t0: float, t_max: float, h: float, passes: int = 1) -> np.ndarray
     if not t_max > t0:
         raise UsageError("t_max must exceed t0")
     n = _steps(t0, t_max, h)
-    _bound((n + 1) * passes)
+    _bound((n + 1) * passes, n + 1)
     return t0 + h * np.arange(int(n) + 1)
 
 
@@ -329,9 +338,11 @@ def _cmd_simulate(manifest: RunManifest):
     p, cfg = _resolve(manifest, method)
     model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0")
     run_cfg = _rebuild(p.integration, cfg, "run")
-    _bound(_steps(run_cfg.t0, run_cfg.t_max, run_cfg.h))
+    n, stride = _steps(run_cfg.t0, run_cfg.t_max, run_cfg.h), run_cfg.record_stride
+    _bound(n, n // stride + 1 + (n % stride != 0))
     traj = integrate(model, _start(s0, run_cfg.t0), run_cfg)
-    return cfg, [(s.t, s.q, s.p) for s in traj.samples], traj.diverged
+    rows = list(zip(traj.t.tolist(), traj.q.tolist(), traj.p.tolist()))
+    return cfg, rows, traj.diverged
 
 
 def _cmd_picard(manifest: RunManifest):
@@ -340,7 +351,8 @@ def _cmd_picard(manifest: RunManifest):
     k = cfg["picard.k"]
     grid = _time_grid(cfg["run.t0"], cfg["run.t_max"], cfg["run.h"], k)
     traj = picard_solve(model, _start(s0, float(grid[0])), grid, k)
-    return cfg, [(s.t, s.q, s.p) for s in traj.samples], traj.diverged
+    rows = list(zip(traj.t.tolist(), traj.q.tolist(), traj.p.tolist()))
+    return cfg, rows, traj.diverged
 
 
 def _cmd_compare(manifest: RunManifest):
@@ -357,15 +369,14 @@ def _cmd_compare(manifest: RunManifest):
         _rebuild(p.integration, cfg, "run"), method=Method.RK4, record_stride=1
     )
     n = _steps(run_cfg.t0, run_cfg.t_max, run_cfg.h)
-    _bound(n + (n + 1) * (cfg["picard.k"] if against == "picard" else 1))
+    _bound(n + (n + 1) * (cfg["picard.k"] if against == "picard" else 1), n + 1)
     s0 = _start(s0, run_cfg.t0)
     traj = integrate(model, s0, run_cfg)
-    times = [s.t for s in traj.samples]
-    x_ref = [s.q for s in traj.samples]
+    times, x_ref = traj.t.tolist(), traj.q.tolist()
     aborted = traj.diverged
     if against == "picard":
-        other_traj = picard_solve(model, s0, np.array(times), cfg["picard.k"])
-        x_other = [s.q for s in other_traj.samples]
+        other_traj = picard_solve(model, s0, traj.t, cfg["picard.k"])
+        x_other = other_traj.q.tolist()
         aborted = aborted or other_traj.diverged
     else:
         hcfg = _rebuild(DEFAULT_HOMOTOPY, cfg, "homotopy")
@@ -378,7 +389,7 @@ def _cmd_lyapunov(manifest: RunManifest):
     p, cfg = _resolve(manifest)
     model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0")
     lcfg = _rebuild(p.lyapunov, cfg, "lyapunov")
-    _bound(_steps(0.0, lcfg.t_total, lcfg.h))
+    _bound(_steps(0.0, lcfg.t_total, lcfg.h), 1)
     res = lyapunov_spectrum(model, s0, lcfg)
     reported = p.paper_reported or (None, None)
     rows = [(*res.exponents, res.sum_residual, res.renorm_count, *reported)]
@@ -407,7 +418,7 @@ def _cmd_homotopy(manifest: RunManifest):
 def _cmd_fd(manifest: RunManifest):
     p, cfg = _resolve(manifest)
     fd = _rebuild(p, cfg, "fd", model=_rebuild(p.model, cfg, "model"))
-    _bound(fd.n)
+    _bound(fd.n, fd.n + 1)
     xs = iterate_fd_duffing(fd.model, fd.x0, fd.x1, fd.h, fd.n)
     return cfg, list(enumerate(xs.tolist())), len(xs) != fd.n + 1
 
@@ -416,7 +427,8 @@ def _cmd_bifurcate(manifest: RunManifest):
     p, cfg = _resolve(manifest)
     model, s0 = _rebuild(p.model_template, cfg, "model"), _rebuild(p.s0, cfg, "s0")
     sweep_cfg = _rebuild(p, cfg, "sweep", model_template=model, s0=s0)
-    _bound(sweep_cfg.n_samples * _steps(s0.t, sweep_cfg.t_max, sweep_cfg.h))
+    lanes = sweep_cfg.n_samples
+    _bound(lanes * _steps(s0.t, sweep_cfg.t_max, sweep_cfg.h), lanes)
     rows = [
         (r.omega, r.x_final, r.y_final, r.conservation_residual, r.diverged)
         for r in sweep_omega(sweep_cfg)
@@ -644,13 +656,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="duffing-lab",
         description="Simulate, analyze and sweep the bundled oscillator models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, cmd in _COMMANDS.items():
+    for command, cmd in commands.items():
         p = sub.add_parser(command, help=cmd.help)
         p.add_argument("--preset", help="preset id (see the presets command)")
         p.add_argument(
@@ -676,8 +688,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # a command line that names its command parses the same against that
+    # command's subparser alone; any other needs every command's help and
+    # choices
+    first = argv[0] if argv else None
+    commands = {first: _COMMANDS[first]} if first in _COMMANDS else _COMMANDS
     try:
-        manifest = build_manifest(_build_parser().parse_args(argv))
+        manifest = build_manifest(_build_parser(commands).parse_args(argv))
     except UsageError as e:
         print(f"duffing-lab: {e}", file=sys.stderr)
         return 1

@@ -102,35 +102,32 @@ class State:
     t: float = 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    """Ordered (time, state) samples produced by a solver.
+    """A solver's samples as float64 columns: times ``t``, states ``q``, ``p``.
 
     ``diverged`` is set when the producing integration aborted on overflow,
-    in which case ``samples`` holds the finite prefix.
+    in which case the columns hold the finite prefix.
     """
 
-    samples: list[State]
+    t: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
     model: ModelSpec
     diverged: bool = False
 
     def __post_init__(self):
-        if not self.samples:
-            raise ValueError("trajectory must contain at least one sample")
-        t_prev = self.samples[0].t
-        for s in self.samples[1:]:
-            if not s.t > t_prev:
-                raise ValueError("trajectory times must be strictly increasing")
-            t_prev = s.t
+        t, q, p = (np.asarray(c, dtype=float) for c in (self.t, self.q, self.p))
+        if t.ndim != 1 or not t.size or not t.shape == q.shape == p.shape:
+            raise ValueError("t, q and p must be non-empty 1-D columns of equal length")
+        if not np.all(t[1:] > t[:-1]):
+            raise ValueError("trajectory times must be strictly increasing")
+        self.t, self.q, self.p = t, q, p
 
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    def qs(self) -> np.ndarray:
-        return np.array([s.q for s in self.samples])
-
-    def ps(self) -> np.ndarray:
-        return np.array([s.p for s in self.samples])
+    @property
+    def samples(self) -> list[State]:
+        """The samples as ``State``s, built anew on every access."""
+        return list(map(State, self.q.tolist(), self.p.tolist(), self.t.tolist()))
 
 
 def rhs_fn(model: ModelSpec) -> Callable:

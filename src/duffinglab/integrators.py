@@ -127,9 +127,9 @@ def step_rk4(model: ModelSpec, s: State, h: float) -> State:
 def integrate(model: ModelSpec, s0: State, cfg: IntegrationConfig) -> Trajectory:
     """Iterate the configured stepper from s0 over the configured span.
 
-    Records s0, every ``record_stride``-th step, and the final state.  Step
-    times are computed as t0 + i*h rather than accumulated.  On overflow the
-    finite prefix is returned with ``diverged`` set instead of raising.
+    Records s0, every ``record_stride``-th step and the final state in columns
+    sized before the first step; times are t0 + i*h, never accumulated.  On
+    overflow the finite prefix is returned with ``diverged`` set, not raised.
 
     The forcing is evaluated once per distinct stage time: an RK4 step
     reuses the previous step's cos(omega*(t + h)) as its cos(omega*t) exactly
@@ -143,10 +143,10 @@ def integrate(model: ModelSpec, s0: State, cfg: IntegrationConfig) -> Trajectory
     rk4 = cfg.method is Method.RK4
     h, t0, n, stride = cfg.h, cfg.t0, cfg.n_steps, cfg.record_stride
 
-    samples = [s0]
+    ts, qs, ps = np.empty((3, n // stride + 1 + (n % stride != 0)))
+    ts[0], qs[0], ps[0] = t0, s0.q, s0.p
     q, p = s0.q, s0.p
     t_end = c4 = math.nan
-    last_recorded = 0
     diverged = False
     for i in range(1, n + 1):
         t = t0 + (i - 1) * h
@@ -164,16 +164,17 @@ def integrate(model: ModelSpec, s0: State, cfg: IntegrationConfig) -> Trajectory
             q_new = p_new = math.inf
         if not (math.isfinite(q_new) and math.isfinite(p_new)):
             diverged = True
-            if last_recorded < i - 1:
-                samples.append(State(q, p, t))
             break
         q, p = q_new, p_new
         if i % stride == 0:
-            samples.append(State(q, p, t0 + i * h))
-            last_recorded = i
-    if not diverged and last_recorded < n:
-        samples.append(State(q, p, t0 + n * h))
-    return Trajectory(samples=samples, model=model, diverged=diverged)
+            k = i // stride
+            ts[k], qs[k], ps[k] = t0 + i * h, q, p
+    last = i - 1 if diverged else n  # the last finite step, recorded if off-stride
+    k = last // stride + 1
+    if last % stride:
+        ts[k], qs[k], ps[k] = t0 + last * h, q, p
+        k += 1
+    return Trajectory(ts[:k], qs[:k], ps[:k], model, diverged)
 
 
 def iterate_fd_duffing(

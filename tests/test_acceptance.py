@@ -218,7 +218,7 @@ def test_c09_picard_convergence():
     s0 = State(1.0, 1.0, 0.0)
     grid = np.arange(0.0, 0.5 + 5e-4, 1e-3)
     value = picard_solve(growth, s0, grid, k=3).samples[-1].q
-    iterates = [picard_solve(growth, s0, grid, k=k).qs() for k in range(7)]
+    iterates = [picard_solve(growth, s0, grid, k=k).q for k in range(7)]
     dists = [float(np.max(np.abs(iterates[k] - iterates[k - 1]))) for k in range(1, 7)]
     ok = abs(value - 1.6458333) <= 5e-4 and all(
         d0 > d1 for d0, d1 in zip(dists, dists[1:])

@@ -187,3 +187,25 @@ def test_lyapunov_steps_get_textbook_forcing_values(monkeypatch):
         (math.cos(w * t), math.cos(w * (t + 0.5 * h)), math.cos(w * (t + h)))
         for t in starts
     ]
+
+
+@pytest.mark.parametrize("case_id", ["ECO_DYN_1", "ECO_DYN_2"])
+def test_lyapunov_ecology_spectrum_is_zero_and_mean_trace(case_id):
+    # (-beta, 1) is a left null vector of every ECOLOGY Jacobian, so one
+    # exponent is exactly 0 and the other is the time-averaged trace
+    # -3q^2 + 5*alpha*q^4 - beta*A, taken here over the post-transient step
+    # starts of an integrate run at the same h
+    pr = preset(case_id)
+    cfg, m = pr.lyapunov, pr.model
+    res = lyapunov_spectrum(m, pr.s0, cfg)
+    n = int(math.floor(cfg.t_total / cfg.h + 0.5))
+    transient = int(math.floor(cfg.t_transient / cfg.h + 0.5))
+    run = IntegrationConfig(h=cfg.h, t0=pr.s0.t, t_max=cfg.t_total)
+    assert run.n_steps == n
+    q = integrate(m, pr.s0, run).q[transient:n]
+    q2 = q * q
+    trace = -3.0 * q2 + 5.0 * m.alpha * q2 * q2 - m.beta * m.coupling_a
+    mean_trace = float(np.mean(trace))
+    assert not res.diverged
+    assert abs(res.exponents[0]) <= 1e-4
+    assert abs(res.exponents[1] - mean_trace) <= 1e-4

@@ -161,7 +161,7 @@ def test_picard_three_iterations_match_truncated_taylor():
 def test_picard_iterate_distances_decrease_monotonically():
     grid = np.arange(0.0, 0.5 + 1e-3 / 2, 1e-3)
     iterates = [
-        picard_solve(GROWTH, State(1.0, 1.0, 0.0), grid, k=k).qs()
+        picard_solve(GROWTH, State(1.0, 1.0, 0.0), grid, k=k).q
         for k in range(7)
     ]
     dists = [
@@ -180,7 +180,7 @@ def test_picard_agrees_with_rk4_on_short_horizon():
     grid = np.arange(0.0, 1.0 + h / 2, h)
     picard = picard_solve(m, s0, grid, k=12)
     rk4 = integrate(m, s0, IntegrationConfig(h=h, t0=0.0, t_max=1.0))
-    dq = np.max(np.abs(picard.qs() - rk4.qs()))
+    dq = np.max(np.abs(picard.q - rk4.q))
     assert dq <= 1e-3
 
 

@@ -10,8 +10,10 @@ import pytest
 
 from duffinglab.analysis import LyapunovResult
 from duffinglab.cli import (
+    MAX_ROWS,
     MAX_WORK,
     RunManifest,
+    _build_parser,
     main,
     read_csv_document,
     render_csv,
@@ -19,7 +21,7 @@ from duffinglab.cli import (
     run,
     sweep_records_from_csv,
 )
-from duffinglab.dynamics import State, Trajectory
+from duffinglab.dynamics import Trajectory
 
 
 def run_main(argv, capsys):
@@ -342,6 +344,35 @@ def test_help_still_exits_0(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+COMMANDS = ("simulate", "fd", "homotopy", "picard", "compare", "lyapunov",
+            "bifurcate", "rates", "presets")
+
+
+def test_unknown_command_message_names_every_command(capsys):
+    code, out, err = run_main(["nope"], capsys)
+    assert code == 1 and out == ""
+    assert all(repr(command) in err for command in COMMANDS)
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_equals_the_full_parsers(command, capsys):
+    # main builds only the named command's subparser
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    own = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args([command, "-h"])
+    assert own == capsys.readouterr().out
+
+
 def test_overflow_exits_2_with_partial_document(capsys):
     code, out, err = run_main(
         [
@@ -432,11 +463,11 @@ def solver_calls(monkeypatch):
 
     def integrate(model, s0, cfg):
         calls["integrate"] = dict(model=model, s0=s0, cfg=cfg)
-        return Trajectory([s0, State(s0.q, s0.p, s0.t + cfg.h)], model)
+        return Trajectory([s0.t, s0.t + cfg.h], [s0.q] * 2, [s0.p] * 2, model)
 
     def picard_solve(model, s0, grid, k):
         calls["picard_solve"] = dict(model=model, s0=s0, grid=grid, k=k)
-        return Trajectory([State(s0.q, s0.p, t) for t in grid[:2]], model)
+        return Trajectory(grid[:2], [s0.q] * 2, [s0.p] * 2, model)
 
     def homotopy_approx(cfg, t):
         calls["homotopy_approx"] = dict(cfg=cfg, t=t)
@@ -475,6 +506,8 @@ def solver_calls(monkeypatch):
         ["fd", "--preset", "FD_PAPER", "--set", "fd.n=1e12"],
         # (t_max - t0)/h is inf: this one was an OverflowError traceback
         ["simulate", "--preset", "CHAOS_A02", "--h", "5e-324"],
+        # 8e8 steps fit the work bound, but not as 8e8 + 1 recorded rows
+        ["simulate", "--preset", "CHAOS_A02", "--h", "1e-6"],
     ],
 )
 def test_request_over_the_work_bound_is_one_line_error(argv, capsys):
@@ -493,6 +526,41 @@ def test_work_bound_admits_exactly_max_work(solver_calls, capsys):
     assert solver_calls["sweep_omega"]["cfg"].n_samples == lanes
     code, _, err = run_main(argv + [str(lanes + 1)], capsys)
     assert code == 1 and "request too large" in err
+
+
+@pytest.mark.parametrize(
+    "argv, at, over, solver",
+    [
+        # stride 1: n + 1 rows
+        (["simulate", "--preset", "CHAOS_A02", "--t-max"], "10000", "10000.01",
+         "integrate"),
+        # stride 100: n // 100 + 1 rows, and the final step when n is off-stride
+        (["simulate", "--preset", "ECO_DYN_1", "--t-max"], "1e6", "1000000.01",
+         "integrate"),
+        (["picard", "--preset", "CHAOS_A02", "--t-max"], "10000", "10000.01",
+         "picard_solve"),
+        (["compare", "--preset", "CHAOS_A02", "--t-max"], "10000", "10000.01",
+         "integrate"),
+        (["compare", "--preset", "CHAOS_A02", "--with", "homotopy", "--t-max"],
+         "10000", "10000.01", "integrate"),
+        (["homotopy", "--t-max"], "10000", "10000.01", "homotopy_approx"),
+        (["fd", "--preset", "FD_PAPER", "--set"], "fd.n=1e6", "fd.n=1000001",
+         "iterate_fd_duffing"),
+        (["bifurcate", "--preset", "BIF_CASE_1", "--t-max", "1", "--samples"],
+         "1000001", "1000002", "sweep_omega"),
+    ],
+)
+def test_row_bound_admits_exactly_max_rows(
+    argv, at, over, solver, solver_calls, tmp_path, capsys
+):
+    out = ["--out", str(tmp_path / "doc")]
+    code, _, err = run_main(argv + [over] + out, capsys)
+    assert code == 1 and not solver_calls
+    assert err == (
+        f"duffing-lab: request too large: {MAX_ROWS + 1} rows, more than {MAX_ROWS}\n"
+    )
+    assert run_main(argv + [at] + out, capsys) == (0, "", "")
+    assert solver in solver_calls
 
 
 def _preset_argvs():

@@ -173,10 +173,8 @@ def test_rhs_overflow_is_flagged_with_state():
 def test_trajectory_requires_increasing_times():
     m = ModelSpec(kind=ModelKind.LINEAR_TEST, alpha=1.0)
     with pytest.raises(ValueError):
-        Trajectory(samples=[], model=m)
+        Trajectory(t=[], q=[], p=[], model=m)
     with pytest.raises(ValueError):
-        Trajectory(
-            samples=[State(0, 0, 0.0), State(1, 1, 0.0)], model=m
-        )
-    traj = Trajectory(samples=[State(0, 0, 0.0), State(1, 1, 0.5)], model=m)
-    assert np.array_equal(traj.times(), [0.0, 0.5])
+        Trajectory(t=[0.0, 0.0], q=[0, 1], p=[0, 1], model=m)
+    traj = Trajectory(t=[0.0, 0.5], q=[0, 1], p=[0, 1], model=m)
+    assert np.array_equal(traj.t, [0.0, 0.5])

@@ -6,7 +6,14 @@ import pytest
 
 from duffinglab.analysis import LyapunovConfig, lyapunov_spectrum
 from duffinglab.bifurcation import preset
-from duffinglab.dynamics import ModelKind, ModelSpec, State, conserved_offset, rhs_fn
+from duffinglab.dynamics import (
+    FlaggedOverflow,
+    ModelKind,
+    ModelSpec,
+    State,
+    conserved_offset,
+    rhs_fn,
+)
 from duffinglab.integrators import (
     IntegrationConfig,
     Method,
@@ -67,7 +74,7 @@ def test_integrate_sample_count_and_final_state():
     # initial + steps 10,20,...,100 (the last of which is the final state)
     assert cfg.n_steps == 100
     assert len(traj.samples) == 11
-    times = traj.times()
+    times = traj.t
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(10.0, abs=1e-12)
     assert np.all(np.diff(times) > 0)
@@ -77,7 +84,7 @@ def test_integrate_records_final_state_off_stride():
     cfg = IntegrationConfig(h=0.1, t0=0.0, t_max=1.04, record_stride=4)
     traj = integrate(HARMONIC, State(1.0, 0.0, 0.0), cfg)
     # 10 steps (t_max honored within h): s0, steps 4 and 8, final step 10
-    assert [round(t, 10) for t in traj.times()] == [0.0, 0.4, 0.8, 1.0]
+    assert [round(t, 10) for t in traj.t] == [0.0, 0.4, 0.8, 1.0]
 
 
 def test_integrate_full_period_harmonic():
@@ -228,6 +235,73 @@ def test_integrate_and_steps_equal_textbook_stages_bitwise(kind, method):
         stepped = step(model, State(q, p, t), h)
         q, p = textbook(model, q, p, t, h)
         assert (s.q, s.p) == (stepped.q, stepped.p) == (q, p)
+
+
+def _recording_rule(model, s0, cfg):
+    """The (t, q, p) rows integrate must return, stepped one by one from
+    State(q, p, t0 + (i-1)*h): s0, every stride-th step, the final step, and
+    on overflow the last finite state unless it is recorded already.  Also
+    returns the step that overflowed, None for a run that finished."""
+    step = {Method.RK4: step_rk4, Method.EULER: step_euler}[cfg.method]
+    t0, h, n, stride = cfg.t0, cfg.h, cfg.n_steps, cfg.record_stride
+    rows, last = [(t0, s0.q, s0.p)], 0
+    q, p = s0.q, s0.p
+    for i in range(1, n + 1):
+        try:
+            s = step(model, State(q, p, t0 + (i - 1) * h), h)
+        except FlaggedOverflow:
+            if last != i - 1:
+                rows.append((t0 + (i - 1) * h, q, p))
+            return rows, i
+        q, p = s.q, s.p
+        if i % stride == 0 or i == n:
+            rows.append((t0 + i * h, q, p))
+            last = i
+    return rows, None
+
+
+def _rows(traj):
+    return list(zip(traj.t.tolist(), traj.q.tolist(), traj.p.tolist()))
+
+
+@pytest.mark.parametrize("stride", [1, 3, 7])
+@pytest.mark.parametrize("method", list(Method))
+def test_integrate_columns_follow_the_recording_rule(method, stride):
+    kind = ModelKind.DUFFING_CHAOS
+    model = ModelSpec(kind=kind, **ALL_KINDS[kind])
+    t0, h = 0.37, 0.013
+    s0 = State(0.1, -0.2, t0)
+    for n in (20, 21):  # 21 is on every stride, 20 on stride 1 only
+        cfg = IntegrationConfig(h=h, t0=t0, t_max=t0 + n * h, method=method,
+                                record_stride=stride)
+        assert cfg.n_steps == n
+        rows, overflowed = _recording_rule(model, s0, cfg)
+        traj = integrate(model, s0, cfg)
+        assert overflowed is None and not traj.diverged
+        assert _rows(traj) == rows
+
+
+@pytest.mark.parametrize("stride", [1, 3, 7])
+@pytest.mark.parametrize("method", list(Method))
+def test_integrate_overflow_columns_follow_the_recording_rule(method, stride):
+    model = ModelSpec(kind=ModelKind.LINEAR_TEST, alpha=-1e4)
+    cfg = IntegrationConfig(h=0.01, t0=0.0, t_max=100.0, method=method,
+                            record_stride=stride)
+    where = set()
+    for k in range(12):
+        # each factor e in s0 moves the overflow by one or two steps
+        s0 = State(math.exp(-k), 0.0, 0.0)
+        rows, overflowed = _recording_rule(model, s0, cfg)
+        traj = integrate(model, s0, cfg)
+        assert overflowed is not None and traj.diverged
+        assert _rows(traj) == rows
+        if (overflowed - 1) % stride == 0:
+            where.add("just after a recorded step")
+        elif overflowed % stride == 0:
+            where.add("on a recorded step")
+        else:
+            where.add("between recorded steps")
+    assert len(where) == (1 if stride == 1 else 3)
 
 
 def test_unforced_kind_never_reads_omega():
