@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ModelSpec, State, forcing_omega, jac_fn, rhs_fn
+from .integrators import step_count
 
 __all__ = [
     "ErrorTable",
@@ -138,8 +139,8 @@ def lyapunov_spectrum(
     f = rhs_fn(model)
     jac = jac_fn(model)
     h = cfg.h
-    total_steps = int(math.floor(cfg.t_total / h + 0.5))
-    transient_steps = int(math.floor(cfg.t_transient / h + 0.5))
+    total_steps = int(step_count(0.0, cfg.t_total, h))
+    transient_steps = int(step_count(0.0, cfg.t_transient, h))
     renorm_every = int(cfg.renorm_every)
     half_h = 0.5 * h
     sixth_h = h / 6.0

@@ -10,7 +10,7 @@ import numpy as np
 
 from .analysis import LyapunovConfig
 from .dynamics import ModelKind, ModelSpec, State, rhs_fn
-from .integrators import IntegrationConfig, Method, _rk4_update
+from .integrators import IntegrationConfig, Method, _rk4_update, step_count
 
 __all__ = [
     "SweepConfig",
@@ -83,7 +83,7 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
     model = cfg.model_template
     f = rhs_fn(model)
     h, t0 = cfg.h, cfg.s0.t
-    n_steps = int(math.floor((cfg.t_max - t0) / h + 0.5))
+    n_steps = int(step_count(t0, cfg.t_max, h))
     q = np.full(omegas.shape, float(cfg.s0.q))
     p = np.full(omegas.shape, float(cfg.s0.p))
     alive = np.ones(omegas.shape, dtype=bool)

@@ -47,16 +47,17 @@ from .bifurcation import (
     preset,
     sweep_omega,
 )
-from .integrators import Method, integrate, iterate_fd_duffing
+from .integrators import Method, integrate, iterate_fd_duffing, step_count
 
 __all__ = ["RunManifest", "run", "main", "read_csv_document", "sweep_records_from_csv"]
 
 # The most work one request may ask for, in steps x lanes: a scalar run counts
-# its steps, a sweep lanes x steps, a Picard pass over an n-point grid n, the
-# homotopy series one per grid point, and compare both of its runs.  A full
-# preset sweep (500 lanes x 10^6 steps) is 5e8.  A larger request is refused
-# before anything is allocated or stepped.
-MAX_WORK = 10**9
+# its steps, compare both of its runs, and a pass over n lanes or grid points
+# (a sweep step, a Picard pass, the homotopy series) max(n, MIN_PASS), since
+# below about 900 its fixed numpy call cost outweighs its per-lane cost.  A
+# full preset sweep is 9e8.  A larger request is refused before anything is
+# allocated or stepped.
+MAX_WORK, MIN_PASS = 10**9, 900
 # The most rows one request may record, refused at the same point: simulate's
 # recorded samples, the grid points of picard, compare and homotopy, fd.n + 1,
 # and one per sweep lane.  The largest preset documents, picard and compare on
@@ -247,6 +248,8 @@ def preset_config(p) -> dict:
     cfg = {}
     for name, obj in sections.items():
         cfg.update(_section(name, obj))
+    if isinstance(p, SweepConfig):
+        del cfg["model.omega"]  # every lane takes its omega from the sweep grid
     if getattr(p, "paper_reported", None) is not None:
         cfg["paper_reported.lambda1"], cfg["paper_reported.lambda2"] = p.paper_reported
     return cfg
@@ -290,13 +293,6 @@ def _resolve(manifest: RunManifest, extra: dict | None = None):
     return p, cfg
 
 
-def _steps(t0: float, t_max: float, h: float) -> float:
-    """The step count of a fixed-step run, floor((t_max - t0)/h + 0.5), as a
-    float so that an unbounded one is inf rather than an error."""
-    x = (t_max - t0) / h + 0.5
-    return float(math.floor(x)) if math.isfinite(x) else x
-
-
 def _bound(work: float, rows: float) -> None:
     if not work <= MAX_WORK:
         raise UsageError(
@@ -317,14 +313,9 @@ def _time_grid(t0: float, t_max: float, h: float, passes: int = 1) -> np.ndarray
         raise UsageError("h must be positive")
     if not t_max > t0:
         raise UsageError("t_max must exceed t0")
-    n = _steps(t0, t_max, h)
-    _bound((n + 1) * passes, n + 1)
+    n = step_count(t0, t_max, h)
+    _bound(max(n + 1, MIN_PASS) * passes, n + 1)
     return t0 + h * np.arange(int(n) + 1)
-
-
-def _start(s0, t: float):
-    """``s0`` moved to the run's start time."""
-    return s0 if s0.t == t else replace(s0, t=t)
 
 
 # -- command handlers ------------------------------------------------------------
@@ -336,21 +327,21 @@ def _start(s0, t: float):
 def _cmd_simulate(manifest: RunManifest):
     method = {"run.method": manifest.method.upper()} if manifest.method else {}
     p, cfg = _resolve(manifest, method)
-    model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0")
     run_cfg = _rebuild(p.integration, cfg, "run")
-    n, stride = _steps(run_cfg.t0, run_cfg.t_max, run_cfg.h), run_cfg.record_stride
+    model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0", t=run_cfg.t0)
+    n, stride = step_count(run_cfg.t0, run_cfg.t_max, run_cfg.h), run_cfg.record_stride
     _bound(n, n // stride + 1 + (n % stride != 0))
-    traj = integrate(model, _start(s0, run_cfg.t0), run_cfg)
+    traj = integrate(model, s0, run_cfg)
     rows = list(zip(traj.t.tolist(), traj.q.tolist(), traj.p.tolist()))
     return cfg, rows, traj.diverged
 
 
 def _cmd_picard(manifest: RunManifest):
     p, cfg = _resolve(manifest, {"picard.k": 12})
-    model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0")
-    k = cfg["picard.k"]
-    grid = _time_grid(cfg["run.t0"], cfg["run.t_max"], cfg["run.h"], k)
-    traj = picard_solve(model, _start(s0, float(grid[0])), grid, k)
+    t0, k = cfg["run.t0"], cfg["picard.k"]
+    model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0", t=t0)
+    grid = _time_grid(t0, cfg["run.t_max"], cfg["run.h"], k)
+    traj = picard_solve(model, s0, grid, k)
     rows = list(zip(traj.t.tolist(), traj.q.tolist(), traj.p.tolist()))
     return cfg, rows, traj.diverged
 
@@ -359,18 +350,18 @@ def _cmd_compare(manifest: RunManifest):
     against = manifest.compare_with
     if against not in ("picard", "homotopy"):
         raise UsageError("--with must be picard or homotopy")
-    extra = {"picard.k": 12, "with": against}
-    if against == "homotopy":
-        extra.update(_section("homotopy", DEFAULT_HOMOTOPY))
+    if against == "picard":
+        extra = {"picard.k": 12, "with": against}
+    else:
+        extra = {"with": against, **_section("homotopy", DEFAULT_HOMOTOPY)}
     p, cfg = _resolve(manifest, extra)
-    model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0")
     # the reference run is always RK4 and records every step
     run_cfg = replace(
         _rebuild(p.integration, cfg, "run"), method=Method.RK4, record_stride=1
     )
-    n = _steps(run_cfg.t0, run_cfg.t_max, run_cfg.h)
-    _bound(n + (n + 1) * (cfg["picard.k"] if against == "picard" else 1), n + 1)
-    s0 = _start(s0, run_cfg.t0)
+    model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0", t=run_cfg.t0)
+    n = step_count(run_cfg.t0, run_cfg.t_max, run_cfg.h)
+    _bound(n + max(n + 1, MIN_PASS) * cfg.get("picard.k", 1), n + 1)
     traj = integrate(model, s0, run_cfg)
     times, x_ref = traj.t.tolist(), traj.q.tolist()
     aborted = traj.diverged
@@ -389,7 +380,7 @@ def _cmd_lyapunov(manifest: RunManifest):
     p, cfg = _resolve(manifest)
     model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0")
     lcfg = _rebuild(p.lyapunov, cfg, "lyapunov")
-    _bound(_steps(0.0, lcfg.t_total, lcfg.h), 1)
+    _bound(step_count(0.0, lcfg.t_total, lcfg.h), 1)
     res = lyapunov_spectrum(model, s0, lcfg)
     reported = p.paper_reported or (None, None)
     rows = [(*res.exponents, res.sum_residual, res.renorm_count, *reported)]
@@ -427,8 +418,8 @@ def _cmd_bifurcate(manifest: RunManifest):
     p, cfg = _resolve(manifest)
     model, s0 = _rebuild(p.model_template, cfg, "model"), _rebuild(p.s0, cfg, "s0")
     sweep_cfg = _rebuild(p, cfg, "sweep", model_template=model, s0=s0)
-    lanes = sweep_cfg.n_samples
-    _bound(lanes * _steps(s0.t, sweep_cfg.t_max, sweep_cfg.h), lanes)
+    lanes, steps = sweep_cfg.n_samples, step_count(s0.t, sweep_cfg.t_max, sweep_cfg.h)
+    _bound(max(lanes, MIN_PASS) * steps, lanes)
     rows = [
         (r.omega, r.x_final, r.y_final, r.conservation_residual, r.diverged)
         for r in sweep_omega(sweep_cfg)
@@ -480,12 +471,12 @@ class _Command(NamedTuple):
 _NUMERIC_FLAGS = ("t_max", "h", "omega_min", "omega_max", "samples")
 _RUN_FLAGS = {"t_max": "run.t_max", "h": "run.h"}
 _DYNAMICS = (DynamicsPreset, "a dynamics case")
-_PICARD_PREFIXES = ("model.", "s0.", "run.h", "run.t0", "run.t_max")
+_PICARD_PREFIXES = ("model.", "s0.q", "s0.p", "run.h", "run.t0", "run.t_max")
 
 _COMMANDS = {
     "simulate": _Command(
         _cmd_simulate, "integrate a dynamics preset and emit the trajectory",
-        ("t", "x", "v"), _RUN_FLAGS, _DYNAMICS, ("model.", "s0.", "run."),
+        ("t", "x", "v"), _RUN_FLAGS, _DYNAMICS, ("model.", "s0.q", "s0.p", "run."),
         keys=("method",),
     ),
     "fd": _Command(

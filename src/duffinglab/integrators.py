@@ -29,6 +29,13 @@ __all__ = [
 ]
 
 
+def step_count(t0: float, t_max: float, h: float) -> float:
+    """The steps of a fixed-step run over [t0, t_max], floor((t_max - t0)/h + 0.5),
+    as a float so that an unbounded count is inf rather than an error."""
+    x = (t_max - t0) / h + 0.5
+    return float(math.floor(x)) if math.isfinite(x) else x
+
+
 class Method(str, Enum):
     EULER = "EULER"
     RK4 = "RK4"
@@ -65,7 +72,7 @@ class IntegrationConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(math.floor((self.t_max - self.t0) / self.h + 0.5))
+        return int(step_count(self.t0, self.t_max, self.h))
 
 
 def _euler_update(f, q, p, h, c1):

@@ -189,20 +189,33 @@ def test_lyapunov_steps_get_textbook_forcing_values(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("case_id", ["ECO_DYN_1", "ECO_DYN_2"])
-def test_lyapunov_ecology_spectrum_is_zero_and_mean_trace(case_id):
+def _ecology_cases():
+    for case_id in ("ECO_DYN_1", "ECO_DYN_2"):
+        pr = preset(case_id)
+        yield pytest.param(pr.model, pr.s0, id=case_id)
+    # seeded random specs over ranges where every run stays finite
+    rng = np.random.default_rng(7)
+    for i in range(6):
+        a, b, al, w, q0, p0 = rng.uniform(
+            [1e-4, -0.2, -1e-3, 0.005, -0.9, -0.9], [0.3, 0.2, 5e-3, 0.1, 0.9, 0.9]
+        ).tolist()
+        m = ModelSpec(kind=ModelKind.ECOLOGY, coupling_a=a, beta=b, alpha=al, omega=w)
+        yield pytest.param(m, State(q0, p0, 0.0), id=f"random-{i}")
+
+
+@pytest.mark.parametrize("m, s0", _ecology_cases())
+def test_lyapunov_ecology_spectrum_is_zero_and_mean_trace(m, s0):
     # (-beta, 1) is a left null vector of every ECOLOGY Jacobian, so one
     # exponent is exactly 0 and the other is the time-averaged trace
     # -3q^2 + 5*alpha*q^4 - beta*A, taken here over the post-transient step
     # starts of an integrate run at the same h
-    pr = preset(case_id)
-    cfg, m = pr.lyapunov, pr.model
-    res = lyapunov_spectrum(m, pr.s0, cfg)
+    cfg = preset("ECO_DYN_1").lyapunov  # both ECOLOGY presets use this one
+    res = lyapunov_spectrum(m, s0, cfg)
     n = int(math.floor(cfg.t_total / cfg.h + 0.5))
     transient = int(math.floor(cfg.t_transient / cfg.h + 0.5))
-    run = IntegrationConfig(h=cfg.h, t0=pr.s0.t, t_max=cfg.t_total)
+    run = IntegrationConfig(h=cfg.h, t0=s0.t, t_max=cfg.t_total)
     assert run.n_steps == n
-    q = integrate(m, pr.s0, run).q[transient:n]
+    q = integrate(m, s0, run).q[transient:n]
     q2 = q * q
     trace = -3.0 * q2 + 5.0 * m.alpha * q2 * q2 - m.beta * m.coupling_a
     mean_trace = float(np.mean(trace))

@@ -3,6 +3,7 @@ import math
 import random
 import struct
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from duffinglab.analysis import LyapunovResult
 from duffinglab.cli import (
     MAX_ROWS,
     MAX_WORK,
+    MIN_PASS,
     RunManifest,
     _build_parser,
     main,
@@ -302,7 +304,7 @@ def test_integer_field_rejects_fractional_override(capsys):
             "bifurcate", "--preset", "BIF_CASE_1", "--samples", "3", "--t-max", "1",
             "--set", "model.alpha=nan",
         ],
-        ["picard", "--preset", "CHAOS_A02", "--t-max", "1", "--set", "s0.t=nan"],
+        ["picard", "--preset", "CHAOS_A02", "--t-max", "1", "--set", "run.t0=nan"],
     ],
 )
 def test_non_finite_input_is_usage_error(argv, capsys):
@@ -508,6 +510,13 @@ def solver_calls(monkeypatch):
         ["simulate", "--preset", "CHAOS_A02", "--h", "5e-324"],
         # 8e8 steps fit the work bound, but not as 8e8 + 1 recorded rows
         ["simulate", "--preset", "CHAOS_A02", "--h", "1e-6"],
+        # 2 lanes x 5e8 steps and 3e8 passes over 3 points fit a bound in
+        # steps; at their numpy call overhead they would run for hours
+        ["bifurcate", "--preset", "BIF_CASE_1", "--samples", "2", "--t-max", "5e6"],
+        [
+            "picard", "--preset", "CHAOS_A02", "--h", "0.5", "--t-max", "1",
+            "--set", "picard.k=3e8",
+        ],
     ],
 )
 def test_request_over_the_work_bound_is_one_line_error(argv, capsys):
@@ -525,6 +534,36 @@ def test_work_bound_admits_exactly_max_work(solver_calls, capsys):
     assert run_main(argv + [str(lanes)], capsys)[0] == 0
     assert solver_calls["sweep_omega"]["cfg"].n_samples == lanes
     code, _, err = run_main(argv + [str(lanes + 1)], capsys)
+    assert code == 1 and "request too large" in err
+
+
+def _small_pass_calls(calls):
+    if "sweep_omega" in calls:
+        return calls["sweep_omega"]["cfg"].t_max
+    return calls["picard_solve"]["k"]
+
+
+@pytest.mark.parametrize(
+    "argv, path, fixed",
+    [
+        # 2 lanes, h = 1: each of the --t-max steps is charged MIN_PASS lanes
+        (["bifurcate", "--preset", "BIF_CASE_1", "--samples", "2", "--h", "1"],
+         "sweep.t_max", 0),
+        # 3 grid points: each Picard pass is charged MIN_PASS points
+        (["picard", "--preset", "CHAOS_A02", "--h", "0.5", "--t-max", "1"],
+         "picard.k", 0),
+        # the same, plus the 2 steps of the RK4 reference run
+        (["compare", "--preset", "CHAOS_A02", "--h", "0.5", "--t-max", "1"],
+         "picard.k", 2),
+    ],
+)
+def test_work_bound_charges_a_small_pass_min_pass(
+    argv, path, fixed, solver_calls, capsys
+):
+    n = (MAX_WORK - fixed) // MIN_PASS
+    assert run_main(argv + ["--set", f"{path}={n}"], capsys)[0] == 0
+    assert _small_pass_calls(solver_calls) == n
+    code, _, err = run_main(argv + ["--set", f"{path}={n + 1}"], capsys)
     assert code == 1 and "request too large" in err
 
 
@@ -633,7 +672,9 @@ def _numeric_paths(argv, tmp_path) -> dict:
         ["compare", "--preset", "CHAOS_A02", "--with", "homotopy"],
         ["lyapunov", "--preset", "CHAOS_A02"],
         ["fd", "--preset", "FD_PAPER"],
-        ["bifurcate", "--preset", "BIF_CASE_1"],
+        # the full-size sweep is charged 9e8 lane-steps, too close to MAX_WORK
+        # for a 1.5 x sweep.t_max; the --set comes before the one under test
+        ["bifurcate", "--preset", "BIF_CASE_1", "--set", "sweep.t_max=100"],
         ["homotopy"],
     ],
 )
@@ -641,12 +682,6 @@ def test_every_override_path_reaches_its_solver(argv, solver_calls, tmp_path, ca
     paths = _numeric_paths(argv, tmp_path)
     assert paths
     for path, old in paths.items():
-        # simulate, picard and compare start at run.t0, whatever s0.t says;
-        # compare --with homotopy lists picard.k but runs no Picard pass
-        if path == "s0.t" and argv[0] in ("simulate", "picard", "compare"):
-            continue
-        if path == "picard.k" and "homotopy" in argv:
-            continue
         new = old + 1 if isinstance(old, int) else (old * 1.5 if old else 0.125)
         solver_calls.clear()
         assert main(argv + ["--set", f"{path}={new!r}"]) == 0, path
@@ -666,12 +701,60 @@ def test_every_override_path_reaches_its_solver(argv, solver_calls, tmp_path, ca
         ["lyapunov", "--preset", "CHAOS_A02", "--set", "run.h=0.1"],
         ["fd", "--preset", "FD_PAPER", "--set", "s0.q=1"],
         ["bifurcate", "--preset", "BIF_CASE_1", "--set", "run.h=0.1"],
+        # paths a command would not read: simulate, picard and compare start at
+        # run.t0, compare --with homotopy runs no Picard pass, and every sweep
+        # lane takes its omega from the grid
+        ["simulate", "--preset", "CHAOS_A02", "--set", "s0.t=5"],
+        ["picard", "--preset", "CHAOS_A02", "--set", "s0.t=5"],
+        ["compare", "--preset", "CHAOS_A02", "--set", "s0.t=5"],
+        [
+            "compare", "--preset", "CHAOS_A02", "--with", "homotopy",
+            "--set", "picard.k=3",
+        ],
+        ["bifurcate", "--preset", "BIF_CASE_1", "--set", "model.omega=0.001"],
     ],
 )
 def test_other_commands_paths_stay_unknown(argv, capsys):
     code, out, err = run_main(argv, capsys)
     assert code == 1 and out == ""
     assert "unknown override path" in err
+
+
+# -- override fuzz ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # tiny runs, sized by --set so that the fuzzed --set after them wins
+        ["simulate", "--preset", "CHAOS_A02", "--set", "run.t_max=0.05"],
+        ["picard", "--preset", "CHAOS_A02", "--set", "run.t_max=0.05"],
+        ["compare", "--preset", "CHAOS_A02", "--set", "run.t_max=0.05"],
+        ["compare", "--preset", "CHAOS_A02", "--with", "homotopy",
+         "--set", "run.t_max=0.05"],
+        ["lyapunov", "--preset", "CHAOS_A02", "--set", "lyapunov.t_transient=0",
+         "--set", "lyapunov.t_total=2"],
+        ["fd", "--preset", "FD_PAPER", "--set", "fd.n=50"],
+        ["bifurcate", "--preset", "BIF_CASE_1", "--set", "sweep.n_samples=3",
+         "--set", "sweep.t_max=1"],
+        ["homotopy", "--set", "grid.t_max=1"],
+    ],
+)
+def test_every_path_at_extreme_values_exits_cleanly(argv, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "doc")]
+    for path in _numeric_paths(argv, tmp_path):
+        for value in ("0", "-1", "1e-300", "1e300", "inf", "nan"):
+            start = time.perf_counter()
+            code = main(argv + ["--set", f"{path}={value}"] + out)
+            took = time.perf_counter() - start
+            err = capsys.readouterr().err
+            case = (path, value, code, err)
+            assert code in (0, 1, 2), case
+            if code:
+                assert err.count("\n") == 1 and err.startswith("duffing-lab: "), case
+            else:
+                assert err == "", case
+            assert took < 2.0, case
 
 
 # -- renderer and parser against per-value references --------------------------
