@@ -47,17 +47,20 @@ from .bifurcation import (
     preset,
     sweep_omega,
 )
-from .integrators import Method, integrate, iterate_fd_duffing, step_count
+from .dynamics import MODEL_FIELDS
+from .integrators import FD_FIELDS, Method, integrate, iterate_fd_duffing, step_count
 
 __all__ = ["RunManifest", "run", "main", "read_csv_document", "sweep_records_from_csv"]
 
-# The most work one request may ask for, in steps x lanes: a scalar run counts
-# its steps, compare both of its runs, and a pass over n lanes or grid points
-# (a sweep step, a Picard pass, the homotopy series) max(n, MIN_PASS), since
-# below about 900 its fixed numpy call cost outweighs its per-lane cost.  A
-# full preset sweep is 9e8.  A larger request is refused before anything is
+# The most work one request may ask for, in steps x lanes, each charged about
+# its time.  A pass over n lanes or grid points (a sweep step, a Picard pass,
+# the homotopy series) counts max(n, MIN_PASS): below about 900 its fixed numpy
+# call cost outweighs its per-lane cost.  A scalar step (simulate, compare's
+# RK4 run) counts SCALAR_STEP, about its time in lane-steps of a preset sweep,
+# and a lyapunov step, which also steps the tangent system, twice that.  A full
+# preset sweep is 9e8.  A larger request is refused before anything is
 # allocated or stepped.
-MAX_WORK, MIN_PASS = 10**9, 900
+MAX_WORK, MIN_PASS, SCALAR_STEP = 10**9, 900, 20
 # The most rows one request may record, refused at the same point: simulate's
 # recorded samples, the grid points of picard, compare and homotopy, fd.n + 1,
 # and one per sweep lane.  The largest preset documents, picard and compare on
@@ -237,19 +240,21 @@ def _rebuild(obj, cfg: dict, name: str, **nested):
 
 def preset_config(p) -> dict:
     """Every dotted path of a preset with its value, ``paper_reported.*``
-    included: what ``presets`` lists and what each preset command starts from."""
+    included: what ``presets`` lists and what each preset command starts from.
+    ``model.*`` holds the kind and the coefficients its solver reads."""
     if isinstance(p, SweepConfig):
-        sections = {"model": p.model_template, "s0": p.s0, "sweep": p}
+        model, sections = p.model_template, {"s0": p.s0, "sweep": p}
+        # every lane takes its omega from the sweep grid
+        read = [name for name in MODEL_FIELDS[model.kind] if name != "omega"]
     elif isinstance(p, FdPreset):
-        sections = {"model": p.model, "fd": p}
+        model, read, sections = p.model, FD_FIELDS, {"fd": p}
     else:
-        sections = {"model": p.model, "s0": p.s0, "run": p.integration,
-                    "lyapunov": p.lyapunov}
-    cfg = {}
+        model, read = p.model, MODEL_FIELDS[p.model.kind]
+        sections = {"s0": p.s0, "run": p.integration, "lyapunov": p.lyapunov}
+    cfg = {"model.kind": model.kind.value}
+    cfg.update((f"model.{name}", getattr(model, name)) for name in read)
     for name, obj in sections.items():
         cfg.update(_section(name, obj))
-    if isinstance(p, SweepConfig):
-        del cfg["model.omega"]  # every lane takes its omega from the sweep grid
     if getattr(p, "paper_reported", None) is not None:
         cfg["paper_reported.lambda1"], cfg["paper_reported.lambda2"] = p.paper_reported
     return cfg
@@ -330,7 +335,7 @@ def _cmd_simulate(manifest: RunManifest):
     run_cfg = _rebuild(p.integration, cfg, "run")
     model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0", t=run_cfg.t0)
     n, stride = step_count(run_cfg.t0, run_cfg.t_max, run_cfg.h), run_cfg.record_stride
-    _bound(n, n // stride + 1 + (n % stride != 0))
+    _bound(n * SCALAR_STEP, n // stride + 1 + (n % stride != 0))
     traj = integrate(model, s0, run_cfg)
     rows = list(zip(traj.t.tolist(), traj.q.tolist(), traj.p.tolist()))
     return cfg, rows, traj.diverged
@@ -361,7 +366,7 @@ def _cmd_compare(manifest: RunManifest):
     )
     model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0", t=run_cfg.t0)
     n = step_count(run_cfg.t0, run_cfg.t_max, run_cfg.h)
-    _bound(n + max(n + 1, MIN_PASS) * cfg.get("picard.k", 1), n + 1)
+    _bound(n * SCALAR_STEP + max(n + 1, MIN_PASS) * cfg.get("picard.k", 1), n + 1)
     traj = integrate(model, s0, run_cfg)
     times, x_ref = traj.t.tolist(), traj.q.tolist()
     aborted = traj.diverged
@@ -380,7 +385,7 @@ def _cmd_lyapunov(manifest: RunManifest):
     p, cfg = _resolve(manifest)
     model, s0 = _rebuild(p.model, cfg, "model"), _rebuild(p.s0, cfg, "s0")
     lcfg = _rebuild(p.lyapunov, cfg, "lyapunov")
-    _bound(step_count(0.0, lcfg.t_total, lcfg.h), 1)
+    _bound(step_count(0.0, lcfg.t_total, lcfg.h) * 2 * SCALAR_STEP, 1)
     res = lyapunov_spectrum(model, s0, lcfg)
     reported = p.paper_reported or (None, None)
     rows = [(*res.exponents, res.sum_residual, res.renorm_count, *reported)]

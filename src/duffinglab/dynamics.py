@@ -8,6 +8,7 @@ evaluate the same formulas defined here.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -54,8 +55,8 @@ class FlaggedOverflow(RuntimeError):
 class ModelSpec:
     """One dynamical system plus its coefficient set.
 
-    Which fields are read depends on ``kind``; unread fields are ignored,
-    never rejected.
+    Which fields are read depends on ``kind`` and is listed, per kind, in
+    ``MODEL_FIELDS``; unread fields are ignored, never rejected.
 
     kind                  dq/dt   dp/dt
     -------------------   -----   ------------------------------------------
@@ -82,7 +83,7 @@ class ModelSpec:
     coupling_a: float = 0.0
 
     def __post_init__(self):
-        if self.kind is ModelKind.DUFFING_HOMOTOPY:
+        if "lambda_h" in MODEL_FIELDS[self.kind]:
             if not 0.0 <= self.lambda_h <= 1.0:
                 raise ValueError(
                     f"lambda_h must lie in [0, 1], got {self.lambda_h}"
@@ -130,6 +131,83 @@ class Trajectory:
         return list(map(State, self.q.tolist(), self.p.tolist(), self.t.tolist()))
 
 
+# One builder per kind returns its (rhs_fn, jac_fn) pair.  Its parameters are
+# exactly the ModelSpec fields the kind reads, omega included for the forced
+# kinds, whose rhs takes the forcing value cos(omega*t) in place of omega.
+
+
+def _classic(delta, alpha, beta, gamma, omega):
+    def f(q, p, c):
+        return p, gamma * c - delta * p - alpha * q - beta * q * q * q
+    def j(q, p):
+        return 0.0, 1.0, -alpha - 3.0 * beta * q * q, -delta
+    return f, j
+
+
+def _homotopy(lambda_h, delta, alpha, beta, gamma, omega):
+    def f(q, p, c):
+        return p, lambda_h * (gamma * c - delta * p - alpha * q - beta * q * q * q)
+    def j(q, p):
+        return 0.0, 1.0, -lambda_h * (alpha + 3.0 * beta * q * q), -lambda_h * delta
+    return f, j
+
+
+def _chaos(delta, gamma, omega):
+    def f(q, p, c):
+        return p, q - q * q * q - delta * p + gamma * c
+    def j(q, p):
+        return 0.0, 1.0, 1.0 - 3.0 * q * q, -delta
+    return f, j
+
+
+def _quintic(delta, beta, gamma, omega):
+    def f(q, p, c):
+        q3 = q * q * q
+        return p, q + beta * q3 - delta * p + gamma * c - gamma * q3 * q * q
+    def j(q, p):
+        q2 = q * q
+        return 0.0, 1.0, 1.0 + 3.0 * beta * q2 - 5.0 * gamma * q2 * q2, -delta
+    return f, j
+
+
+def _ecology(coupling_a, alpha, beta, omega):
+    def f(q, p, c):
+        q3 = q * q * q
+        dq = -coupling_a * p - c - q3 + alpha * q3 * q * q
+        return dq, beta * dq
+    def j(q, p):
+        q2 = q * q
+        e = -3.0 * q2 + 5.0 * alpha * q2 * q2
+        return e, -coupling_a, beta * e, -beta * coupling_a
+    return f, j
+
+
+def _linear(delta, alpha):
+    def f(q, p, c):
+        return p, -delta * p - alpha * q
+    def j(q, p):
+        return 0.0, 1.0, -alpha, -delta
+    return f, j
+
+
+_BUILDERS = {
+    ModelKind.DUFFING_CLASSIC: _classic,
+    ModelKind.DUFFING_HOMOTOPY: _homotopy,
+    ModelKind.DUFFING_CHAOS: _chaos,
+    ModelKind.DUFFING_QUINTIC: _quintic,
+    ModelKind.ECOLOGY: _ecology,
+    ModelKind.LINEAR_TEST: _linear,
+}
+
+# The ModelSpec fields each kind reads: every other field leaves its runs unchanged.
+MODEL_FIELDS = {k: tuple(inspect.signature(b).parameters) for k, b in _BUILDERS.items()}
+
+
+def _bind(model: ModelSpec) -> tuple[Callable, Callable]:
+    kind = model.kind
+    return _BUILDERS[kind](*[getattr(model, name) for name in MODEL_FIELDS[kind]])
+
+
 def rhs_fn(model: ModelSpec) -> Callable:
     """Bind a model to a fast ``f(q, p, c) -> (dq, dp)`` callable.
 
@@ -137,61 +215,19 @@ def rhs_fn(model: ModelSpec) -> Callable:
     omega from :func:`forcing_omega` or a sweep's frequency grid.  The caller
     computes it, so one value serves every stage that shares a time.  All
     arithmetic broadcasts, so q, p and c may be floats or arrays, e.g. one
-    lane per sweep frequency.  LINEAR_TEST is unforced and ignores ``c``.
+    lane per sweep frequency.  An unforced kind ignores ``c``.
     """
-    k = model.kind
-    if k is ModelKind.DUFFING_CLASSIC:
-        d, a, b, g = model.delta, model.alpha, model.beta, model.gamma
-
-        def f(q, p, c):
-            return p, g * c - d * p - a * q - b * q * q * q
-
-    elif k is ModelKind.DUFFING_HOMOTOPY:
-        lam = model.lambda_h
-        d, a, b, g = model.delta, model.alpha, model.beta, model.gamma
-
-        def f(q, p, c):
-            return p, lam * (g * c - d * p - a * q - b * q * q * q)
-
-    elif k is ModelKind.DUFFING_CHAOS:
-        d, g = model.delta, model.gamma
-
-        def f(q, p, c):
-            return p, q - q * q * q - d * p + g * c
-
-    elif k is ModelKind.DUFFING_QUINTIC:
-        d, b, g = model.delta, model.beta, model.gamma
-
-        def f(q, p, c):
-            q3 = q * q * q
-            return p, q + b * q3 - d * p + g * c - g * q3 * q * q
-
-    elif k is ModelKind.ECOLOGY:
-        a_c, al, b = model.coupling_a, model.alpha, model.beta
-
-        def f(q, p, c):
-            q3 = q * q * q
-            dq = -a_c * p - c - q3 + al * q3 * q * q
-            return dq, b * dq
-
-    elif k is ModelKind.LINEAR_TEST:
-        d, a = model.delta, model.alpha
-
-        def f(q, p, c):
-            return p, -d * p - a * q
-
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown model kind {k}")
-    return f
+    return _bind(model)[0]
 
 
 def forcing_omega(model: ModelSpec) -> float:
     """The omega in the forcing value cos(omega*t) that ``rhs_fn`` takes.
 
-    0 for the unforced LINEAR_TEST, whose ``omega`` is never read: any value
-    there, even one for which omega*t overflows, leaves its runs unchanged.
+    0 for a kind that does not read ``omega`` (the unforced LINEAR_TEST):
+    any value there, even one for which omega*t overflows, leaves its runs
+    unchanged.
     """
-    return 0.0 if model.kind is ModelKind.LINEAR_TEST else model.omega
+    return model.omega if "omega" in MODEL_FIELDS[model.kind] else 0.0
 
 
 def jac_fn(model: ModelSpec) -> Callable:
@@ -201,50 +237,7 @@ def jac_fn(model: ModelSpec) -> Callable:
     enters the flows only through the forcing term, which is state-free, so
     no time column exists.
     """
-    k = model.kind
-    if k is ModelKind.DUFFING_CLASSIC:
-        d, a, b = model.delta, model.alpha, model.beta
-
-        def j(q, p):
-            return 0.0, 1.0, -a - 3.0 * b * q * q, -d
-
-    elif k is ModelKind.DUFFING_HOMOTOPY:
-        lam = model.lambda_h
-        d, a, b = model.delta, model.alpha, model.beta
-
-        def j(q, p):
-            return 0.0, 1.0, -lam * (a + 3.0 * b * q * q), -lam * d
-
-    elif k is ModelKind.DUFFING_CHAOS:
-        d = model.delta
-
-        def j(q, p):
-            return 0.0, 1.0, 1.0 - 3.0 * q * q, -d
-
-    elif k is ModelKind.DUFFING_QUINTIC:
-        d, b, g = model.delta, model.beta, model.gamma
-
-        def j(q, p):
-            q2 = q * q
-            return 0.0, 1.0, 1.0 + 3.0 * b * q2 - 5.0 * g * q2 * q2, -d
-
-    elif k is ModelKind.ECOLOGY:
-        a_c, al, b = model.coupling_a, model.alpha, model.beta
-
-        def j(q, p):
-            q2 = q * q
-            e = -3.0 * q2 + 5.0 * al * q2 * q2
-            return e, -a_c, b * e, -b * a_c
-
-    elif k is ModelKind.LINEAR_TEST:
-        d, a = model.delta, model.alpha
-
-        def j(q, p):
-            return 0.0, 1.0, -a, -d
-
-    else:  # pragma: no cover
-        raise ValueError(f"unknown model kind {k}")
-    return j
+    return _bind(model)[1]
 
 
 def rhs(model: ModelSpec, s: State) -> tuple[float, float]:

@@ -184,6 +184,10 @@ def integrate(model: ModelSpec, s0: State, cfg: IntegrationConfig) -> Trajectory
     return Trajectory(ts[:k], qs[:k], ps[:k], model, diverged)
 
 
+# The ModelSpec fields iterate_fd_duffing reads, in the order it unpacks them.
+FD_FIELDS = ("lambda_h", "alpha", "beta", "gamma", "omega")
+
+
 def iterate_fd_duffing(
     params: ModelSpec, x0: float, x1: float, h: float, n: int
 ) -> np.ndarray:
@@ -195,9 +199,10 @@ def iterate_fd_duffing(
                   - h^2*l*(alpha*x[k] + beta*x[k]^3)
                   + h^2*l*gamma*cos(omega*k*h)) / (1 + h*l)
 
-    with l = lambda_h.  Returns x[0..n]; if an element overflows the sequence
-    is truncated at the last finite value (a shorter-than-requested result is
-    the overflow flag).
+    with l = lambda_h: the damping is fixed at 1, so ``delta`` is never read
+    (nor ``coupling_a``; the fields read are ``FD_FIELDS``).  Returns x[0..n];
+    if an element overflows the sequence is truncated at the last finite value
+    (a shorter-than-requested result is the overflow flag).
     """
     if params.kind is not ModelKind.DUFFING_HOMOTOPY:
         raise ValueError("the recurrence is defined for DUFFING_HOMOTOPY models")
@@ -206,13 +211,7 @@ def iterate_fd_duffing(
     if not h > 0:
         raise ValueError("h must be positive")
 
-    lam, al, b, g, w = (
-        params.lambda_h,
-        params.alpha,
-        params.beta,
-        params.gamma,
-        params.omega,
-    )
+    lam, al, b, g, w = (getattr(params, name) for name in FD_FIELDS)
     hl = h * lam
     h2l = h * h * lam
     denom = 1.0 + hl

@@ -14,6 +14,7 @@ from duffinglab.cli import (
     MAX_ROWS,
     MAX_WORK,
     MIN_PASS,
+    SCALAR_STEP,
     RunManifest,
     _build_parser,
     main,
@@ -24,6 +25,7 @@ from duffinglab.cli import (
     sweep_records_from_csv,
 )
 from duffinglab.dynamics import Trajectory
+from duffinglab.integrators import step_count
 
 
 def run_main(argv, capsys):
@@ -517,6 +519,16 @@ def solver_calls(monkeypatch):
             "picard", "--preset", "CHAOS_A02", "--h", "0.5", "--t-max", "1",
             "--set", "picard.k=3e8",
         ],
+        # 1e9 scalar RK4 steps, respectively tangent steps, fit a bound in
+        # steps; they would run for about 22 and 46 minutes
+        [
+            "simulate", "--preset", "CHAOS_A02", "--h", "1e-4", "--t-max", "1e5",
+            "--set", "run.record_stride=1e6",
+        ],
+        [
+            "lyapunov", "--preset", "CHAOS_A02", "--set", "lyapunov.h=1e-4",
+            "--set", "lyapunov.t_total=1e5",
+        ],
     ],
 )
 def test_request_over_the_work_bound_is_one_line_error(argv, capsys):
@@ -537,6 +549,31 @@ def test_work_bound_admits_exactly_max_work(solver_calls, capsys):
     assert code == 1 and "request too large" in err
 
 
+@pytest.mark.parametrize(
+    "argv, steps, solver",
+    [
+        # each scalar RK4 step is charged SCALAR_STEP
+        (["simulate", "--preset", "CHAOS_A02", "--set", "run.record_stride=1e6"],
+         MAX_WORK // SCALAR_STEP, "integrate"),
+        # each step with its tangent system is charged twice that
+        (["lyapunov", "--preset", "CHAOS_A02"], MAX_WORK // (2 * SCALAR_STEP),
+         "lyapunov_spectrum"),
+    ],
+)
+def test_work_bound_charges_a_scalar_step_its_time(
+    argv, steps, solver, solver_calls, capsys
+):
+    def run_steps(n):  # h = 1e-4 and t_max = n * 1e-4 ask for n steps
+        return run_main(argv + ["--h", "1e-4", "--t-max", repr(n * 1e-4)], capsys)
+
+    assert run_steps(steps)[0] == 0
+    cfg = solver_calls[solver]["cfg"]
+    t_max = cfg.t_max if solver == "integrate" else cfg.t_total
+    assert step_count(0.0, t_max, cfg.h) == steps
+    code, _, err = run_steps(steps + 1)
+    assert code == 1 and "request too large" in err
+
+
 def _small_pass_calls(calls):
     if "sweep_omega" in calls:
         return calls["sweep_omega"]["cfg"].t_max
@@ -554,7 +591,7 @@ def _small_pass_calls(calls):
          "picard.k", 0),
         # the same, plus the 2 steps of the RK4 reference run
         (["compare", "--preset", "CHAOS_A02", "--h", "0.5", "--t-max", "1"],
-         "picard.k", 2),
+         "picard.k", 2 * SCALAR_STEP),
     ],
 )
 def test_work_bound_charges_a_small_pass_min_pass(
@@ -573,9 +610,9 @@ def test_work_bound_charges_a_small_pass_min_pass(
         # stride 1: n + 1 rows
         (["simulate", "--preset", "CHAOS_A02", "--t-max"], "10000", "10000.01",
          "integrate"),
-        # stride 100: n // 100 + 1 rows, and the final step when n is off-stride
-        (["simulate", "--preset", "ECO_DYN_1", "--t-max"], "1e6", "1000000.01",
-         "integrate"),
+        # stride 10: n // 10 + 1 rows, and the final step when n is off-stride
+        (["simulate", "--preset", "ECO_DYN_1", "--set", "run.record_stride=10",
+          "--t-max"], "1e5", "100000.01", "integrate"),
         (["picard", "--preset", "CHAOS_A02", "--t-max"], "10000", "10000.01",
          "picard_solve"),
         (["compare", "--preset", "CHAOS_A02", "--t-max"], "10000", "10000.01",
@@ -712,12 +749,51 @@ def test_every_override_path_reaches_its_solver(argv, solver_calls, tmp_path, ca
             "--set", "picard.k=3",
         ],
         ["bifurcate", "--preset", "BIF_CASE_1", "--set", "model.omega=0.001"],
+        # coefficients the model kind does not read: ECOLOGY has no damping,
+        # DUFFING_CHAOS fixes the linear stiffness at -1, and the FD recurrence
+        # fixes the damping at 1
+        ["simulate", "--preset", "ECO_DYN_1", "--set", "model.delta=5"],
+        ["lyapunov", "--preset", "CHAOS_A02", "--set", "model.alpha=1"],
+        ["fd", "--preset", "FD_PAPER", "--set", "model.delta=2"],
     ],
 )
 def test_other_commands_paths_stay_unknown(argv, capsys):
     code, out, err = run_main(argv, capsys)
     assert code == 1 and out == ""
     assert "unknown override path" in err
+
+
+# -- every model.* path changes the document ---------------------------------------
+
+
+def _tiny_preset_argvs():
+    """The preset runs that have a model, at the sizes of the pinned digests."""
+    sizes = {"simulate": ["--t-max", "1"], "picard": ["--t-max", "1"],
+             "compare": ["--t-max", "1"],
+             "lyapunov": ["--t-max", "1", "--set", "lyapunov.t_transient=0"],
+             "bifurcate": ["--t-max", "1", "--samples", "6"],
+             "fd": ["--set", "fd.n=50"]}
+    for argv in _preset_argvs():
+        if argv[0] in sizes:
+            yield argv + sizes[argv[0]]
+
+
+@pytest.mark.parametrize("argv", list(_tiny_preset_argvs()), ids=" ".join)
+def test_every_model_path_changes_the_document(argv, tmp_path, capsys):
+    out = tmp_path / "doc.csv"
+
+    def document(*extra):
+        assert main(argv + [*extra, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    before = document()
+    paths = {path: value for path, value in _numeric_paths(argv, tmp_path).items()
+             if path.startswith("model.")}
+    assert paths
+    dead = [path for path, old in paths.items()
+            if document("--set", f"{path}={old * 1.5 if old else 0.125!r}") == before]
+    capsys.readouterr()
+    assert dead == []
 
 
 # -- override fuzz ----------------------------------------------------------------

@@ -1,15 +1,21 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from duffinglab.dynamics import (
+    MODEL_FIELDS,
     FlaggedOverflow,
     ModelKind,
     ModelSpec,
     State,
     Trajectory,
     conserved_offset,
+    forcing_omega,
+    jac_fn,
     jacobian,
     rhs,
+    rhs_fn,
 )
 
 
@@ -178,3 +184,29 @@ def test_trajectory_requires_increasing_times():
         Trajectory(t=[0.0, 0.0], q=[0, 1], p=[0, 1], model=m)
     traj = Trajectory(t=[0.0, 0.5], q=[0, 1], p=[0, 1], model=m)
     assert np.array_equal(traj.t, [0.0, 0.5])
+
+
+COEFFICIENTS = ("delta", "alpha", "beta", "gamma", "omega", "lambda_h", "coupling_a")
+
+
+def _outputs(model, q, p, c) -> bytes:
+    """Every value rhs_fn, jac_fn and forcing_omega give at the points, as bytes."""
+    values = [*rhs_fn(model)(q, p, c), *jac_fn(model)(q, p), forcing_omega(model)]
+    return np.array(np.broadcast_arrays(*values)).tobytes()
+
+
+def test_model_fields_name_exactly_the_coefficients_a_kind_reads():
+    assert set(MODEL_FIELDS) == set(ModelKind)
+    assert set(COEFFICIENTS) == {f.name for f in fields(ModelSpec)} - {"kind"}
+    rng = np.random.default_rng(2024)
+    q, p, c = rng.uniform(-2, 2, size=(3, 16))
+    for kind in ModelKind:
+        assert set(MODEL_FIELDS[kind]) <= set(COEFFICIENTS), kind
+        # nonzero values that stay valid at 1.5 times (lambda_h <= 1)
+        values = dict(zip(COEFFICIENTS, rng.uniform(0.2, 0.6, size=7)))
+        model = ModelSpec(kind=kind, **values)
+        before = _outputs(model, q, p, c)
+        for name in COEFFICIENTS:
+            scaled = ModelSpec(kind=kind, **{**values, name: 1.5 * values[name]})
+            changed = _outputs(scaled, q, p, c) != before
+            assert changed == (name in MODEL_FIELDS[kind]), (kind, name)
