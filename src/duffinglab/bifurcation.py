@@ -10,7 +10,7 @@ import numpy as np
 
 from .analysis import LyapunovConfig
 from .dynamics import ModelKind, ModelSpec, State, rhs_fn
-from .integrators import IntegrationConfig, Method, _rk4_update, step_count
+from .integrators import IntegrationConfig, Method, record_rk4, step_count
 
 __all__ = [
     "SweepConfig",
@@ -51,6 +51,8 @@ class SweepConfig:
             raise ValueError("t_max must exceed the initial time")
         if not self.h > 0:
             raise ValueError("h must be positive")
+        if (self.t_max - self.s0.t) / self.h < 1.0:
+            raise ValueError("span must cover at least one step")
 
 
 @dataclass(frozen=True)
@@ -74,34 +76,53 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
     """One record per grid frequency, in ascending omega order.
 
     All lanes advance in lockstep as one vectorized batch through the same
-    RK4 update that ``integrate`` uses, with the forcing evaluated by the
-    same rule (once per distinct stage time), so lane i is bit-for-bit the
-    scalar RK4 run of the template at omega_i.  Lanes that go non-finite are
-    frozen at their last finite state and flagged; the rest keep going.
+    RK4 update that ``integrate`` uses, recorded once (``record_rk4``) and
+    replayed every step into preallocated lane buffers, with the forcing
+    evaluated by the same rule (once per distinct stage time), so lane i is
+    bit-for-bit the scalar RK4 run of the template at omega_i.  Lanes that go
+    non-finite are frozen at their last finite state and flagged; the rest
+    keep going.
     """
     omegas = np.linspace(cfg.omega_min, cfg.omega_max, int(cfg.n_samples))
     model = cfg.model_template
-    f = rhs_fn(model)
     h, t0 = cfg.h, cfg.s0.t
     n_steps = int(step_count(t0, cfg.t_max, h))
-    q = np.full(omegas.shape, float(cfg.s0.q))
-    p = np.full(omegas.shape, float(cfg.s0.p))
+    # Lane buffers owned by this call.  The state alternates between qs[s],
+    # ps[s] and qs[1 - s], ps[1 - s]; c1 is read from cs[g], where the last
+    # step's c4 is, and c4 written to cs[1 - g].  So the step is recorded
+    # once and bound once per (s, g).
+    n_temps, bind = record_rk4(rhs_fn(model), h)
+    n = omegas.size
+    qs, ps, cs = ([np.empty(n) for _ in range(2)] for _ in range(3))
+    c2, temps = np.empty(n), [np.empty(n) for _ in range(n_temps)]
+    progs = [
+        [bind((qs[s], ps[s], cs[g], c2, cs[1 - g]), (qs[1 - s], ps[1 - s]), temps)
+         for g in (0, 1)]
+        for s in (0, 1)
+    ]
+    qs[0][:], ps[0][:] = float(cfg.s0.q), float(cfg.s0.p)
+    s = g = 0
     alive = np.ones(omegas.shape, dtype=bool)
     any_dead = False
-    t_end = c4 = math.nan
+    t_end = math.nan
+    cos, multiply = np.cos, np.multiply
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             t = t0 + i * h
-            c1 = c4 if t == t_end else np.cos(omegas * t)
+            c1, c4 = cs[g], cs[1 - g]
+            if t != t_end:
+                cos(multiply(omegas, t, c1), c1)
             t_end = t + h
-            c4 = np.cos(omegas * t_end)
-            qn, pn = _rk4_update(
-                f, q, p, h, c1, np.cos(omegas * (t + 0.5 * h)), c4
-            )
+            cos(multiply(omegas, t_end, c4), c4)
+            cos(multiply(omegas, t + 0.5 * h, c2), c2)
+            for uf, a, b, out in progs[s][g]:
+                uf(a, b, out)
+            g = 1 - g
+            qn, pn = qs[1 - s], ps[1 - s]
             ok = np.isfinite(qn) & np.isfinite(pn)
             if not any_dead and bool(ok.all()):
-                q, p = qn, pn
+                s = 1 - s
                 continue
             newly_dead = alive & ~ok
             if newly_dead.any():
@@ -109,8 +130,9 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
                 any_dead = True
                 if not alive.any():
                     break
-            np.copyto(q, qn, where=alive)
-            np.copyto(p, pn, where=alive)
+            np.copyto(qs[s], qn, where=alive)
+            np.copyto(ps[s], pn, where=alive)
+    q, p = qs[s], ps[s]
 
     if model.kind is ModelKind.ECOLOGY:
         offset0 = cfg.s0.p - model.beta * cfg.s0.q

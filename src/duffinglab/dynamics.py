@@ -216,6 +216,11 @@ def rhs_fn(model: ModelSpec) -> Callable:
     computes it, so one value serves every stage that shares a time.  All
     arithmetic broadcasts, so q, p and c may be floats or arrays, e.g. one
     lane per sweep frequency.  An unforced kind ignores ``c``.
+
+    The callable uses only ``+``, ``-`` (binary and unary) and ``*`` on
+    ``q``, ``p`` and ``c``, with each other or with real numbers: a sweep
+    records one RK4 step of it (``integrators.record_rk4``), which rejects
+    any other operation with TypeError.
     """
     return _bind(model)[0]
 

@@ -96,6 +96,106 @@ def _rk4_update(f, q, p, h, c1, c2, c4):
     )
 
 
+def _negative(a, _, out):
+    """Unary minus in the ``uf(a, b, out)`` form of a recorded step."""
+    return np.negative(a, out)
+
+
+class _Lane:
+    """A lane array while one step is recorded: an input or the result of an
+    earlier operation, named by its index ``ref`` in the shared ``tape``.
+
+    Only +, -, * and unary - are recorded, between lanes or with a real
+    number.  Anything else (/, **, abs, a ufunc, a comparison, truth testing)
+    raises TypeError while recording, so a recorded program is never wrong.
+    """
+
+    __slots__ = ("tape", "ref")
+    __array_ufunc__ = None  # numpy defers to the methods below, or raises
+
+    def __init__(self, tape, ref):
+        self.tape, self.ref = tape, ref
+
+    def _op(self, uf, a, b):
+        if not all(isinstance(x, (_Lane, int, float)) for x in (a, b)):
+            return NotImplemented
+        self.tape.append((uf, a, b))
+        return _Lane(self.tape, len(self.tape) - 1)
+
+    def __add__(self, o):
+        return self._op(np.add, self, o)
+
+    def __radd__(self, o):
+        return self._op(np.add, o, self)
+
+    def __sub__(self, o):
+        return self._op(np.subtract, self, o)
+
+    def __rsub__(self, o):
+        return self._op(np.subtract, o, self)
+
+    def __mul__(self, o):
+        return self._op(np.multiply, self, o)
+
+    def __rmul__(self, o):
+        return self._op(np.multiply, o, self)
+
+    def __neg__(self):
+        return self._op(_negative, self, 0.0)
+
+    def __bool__(self):
+        raise TypeError("a recorded lane has no truth value")
+
+    def __eq__(self, o):
+        raise TypeError("a recorded lane cannot be compared")
+
+    __ne__ = __eq__
+
+
+def record_rk4(f, h):
+    """Record one ``_rk4_update`` of ``f`` at step ``h`` for replay over lanes.
+
+    Returns ``(n_temps, bind)``.  ``bind(ins, outs, temps)`` takes the lane
+    arrays ins = (q, p, c1, c2, c4), outs = (q_new, p_new) and ``n_temps``
+    scratch arrays, and returns the step as a list of ``(uf, a, b, out)``, to
+    be run in order as ``uf(a, b, out)``.  These are the operations of
+    ``_rk4_update`` on the arrays, in its order and on the same operands, so
+    the outputs equal its result bit for bit.  The program reads ``ins``,
+    writes only ``outs`` and ``temps``, and reuses a scratch array once the
+    value in it has had its last read.
+    """
+    tape = [None] * 5
+    q, p, c1, c2, c4 = (_Lane(tape, i) for i in range(5))
+    q_new, p_new = _rk4_update(f, q, p, h, c1, c2, c4)
+    ops = list(enumerate(tape[5:], 5))
+    last_read = {
+        x.ref: j for j, (_, a, b) in ops for x in (a, b) if isinstance(x, _Lane)
+    }
+    # each value's index in [*ins, *outs, *temps]
+    buf = {i: i for i in range(5)}
+    buf[q_new.ref], buf[p_new.ref] = 5, 6
+    free, n_temps = [], 0
+    for j, (_, a, b) in ops:
+        for ref in {x.ref for x in (a, b) if isinstance(x, _Lane)}:
+            if last_read[ref] == j and buf[ref] > 6:
+                free.append(buf[ref])
+        if j not in buf:
+            if not free:
+                free.append(7 + n_temps)
+                n_temps += 1
+            buf[j] = free.pop()
+
+    def bind(ins, outs, temps):
+        arrays = [*ins, *outs, *temps]
+
+        def arg(x):
+            return arrays[buf[x.ref]] if isinstance(x, _Lane) else x
+
+        return [(uf, arg(a), arg(b), arrays[buf[j]]) for j, (uf, a, b) in ops]
+
+    return n_temps, bind
+
+
 def _checked(q: float, p: float, t: float) -> State:
     s = State(q, p, t)
     if not (math.isfinite(q) and math.isfinite(p)):

@@ -64,11 +64,26 @@ def _chaos_sweep():
     )
 
 
+# Kinds whose dq is the input p itself; s0.t and h make the forcing reuse
+# test t == t_end both true and false.
+def _kind_sweep(kind, **coeffs):
+    return lambda: SweepConfig(
+        model_template=ModelSpec(kind=kind, **coeffs), omega_min=0.5, omega_max=1.5,
+        n_samples=5, s0=State(0.1, -0.2, 0.37), t_max=10.37, h=0.013,
+    )
+
+
 @pytest.mark.parametrize(
     "make_cfg",
     [lambda: short_case1(n_samples=8, t_max=20.0), _chaos_sweep,
-     _mixed_divergence_sweep],
-    ids=["bif_case_1", "duffing_chaos", "ecology_mixed_divergence"],
+     _mixed_divergence_sweep, lambda: short_case1(n_samples=2, t_max=20.0),
+     _kind_sweep(ModelKind.DUFFING_CLASSIC, delta=0.1, alpha=1.0, beta=0.2, gamma=0.3),
+     _kind_sweep(ModelKind.DUFFING_HOMOTOPY, delta=0.1, alpha=1.0, beta=0.2,
+                 gamma=0.3, lambda_h=0.5),
+     _kind_sweep(ModelKind.DUFFING_QUINTIC, delta=0.05, beta=0.3, gamma=0.2),
+     _kind_sweep(ModelKind.LINEAR_TEST, delta=0.1, alpha=1.0)],
+    ids=["bif_case_1", "duffing_chaos", "ecology_mixed_divergence", "two_lanes",
+         "duffing_classic", "duffing_homotopy", "duffing_quintic", "linear_test"],
 )
 def test_sweep_lane_equals_scalar_rk4_bitwise(make_cfg):
     cfg = make_cfg()
@@ -132,6 +147,10 @@ def test_sweep_config_validation():
         SweepConfig(template, 0.1, 0.5, 1, s0, 10.0, 0.01)
     with pytest.raises(ValueError):
         SweepConfig(template, 0.1, 0.5, 10, s0, -1.0, 0.01)
+    # the horizon must cover one step, as for IntegrationConfig
+    with pytest.raises(ValueError, match="span must cover at least one step"):
+        SweepConfig(template, 0.1, 0.5, 10, s0, 0.004, 0.01)
+    SweepConfig(template, 0.1, 0.5, 10, s0, 0.01, 0.01)  # one step is enough
 
 
 def test_preset_ids_cover_all_cases():

@@ -341,6 +341,20 @@ def test_malformed_command_line_is_one_line_usage_error(argv, capsys):
     assert err.count("\n") == 1 and err.startswith("duffing-lab: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--preset", "CHAOS_A02", "--t-max", "0.004"],
+        ["bifurcate", "--preset", "BIF_CASE_1", "--samples", "3", "--t-max", "0.004"],
+    ],
+    ids=["simulate", "bifurcate"],
+)
+def test_horizon_shorter_than_a_step_is_one_line_usage_error(argv, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "duffing-lab: span must cover at least one step\n"
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "-h"])

@@ -17,8 +17,10 @@ from duffinglab.dynamics import (
 from duffinglab.integrators import (
     IntegrationConfig,
     Method,
+    _rk4_update,
     integrate,
     iterate_fd_duffing,
+    record_rk4,
     step_euler,
     step_rk4,
 )
@@ -235,6 +237,67 @@ def test_integrate_and_steps_equal_textbook_stages_bitwise(kind, method):
         stepped = step(model, State(q, p, t), h)
         q, p = textbook(model, q, p, t, h)
         assert (s.q, s.p) == (stepped.q, stepped.p) == (q, p)
+
+
+# Signed zeros, subnormals, a value whose cube overflows, infinities and nan.
+SPECIAL = [0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e300, math.inf, -math.inf,
+           math.nan, 0.3, -1.7]
+
+
+def _special_lanes(shift):
+    """(q, p, c1, c2, c4) over every pair of SPECIAL values for (q, p)."""
+    q, p = (x.ravel() for x in np.meshgrid(np.roll(SPECIAL, shift), SPECIAL))
+    return [q, p, *(np.roll(q, k) for k in (3, 5, 7))]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [rhs_fn(ModelSpec(kind=kind, **ALL_KINDS[kind])) for kind in ModelKind]
+    + [lambda q, p, c: (-p, -(q * c) - 0.5)],
+    ids=[kind.value for kind in ModelKind] + ["unary_minus"],
+)
+def test_replayed_step_equals_rk4_update_bitwise(f):
+    h = 0.013
+    n_temps, bind = record_rk4(f, h)
+    n = len(SPECIAL) ** 2
+    ins, outs = [np.empty(n) for _ in range(5)], [np.empty(n) for _ in range(2)]
+    prog = bind(ins, outs, [np.full(n, 7.0) for _ in range(n_temps)])
+    # twice, with other inputs: a stale or aliased buffer shows in one of them
+    for shift in (0, 4):
+        lanes = _special_lanes(shift)
+        for buf, x in zip(ins, lanes):
+            buf[:] = x
+        with np.errstate(all="ignore"):
+            for uf, a, b, out in prog:
+                uf(a, b, out)
+            q, p, c1, c2, c4 = lanes
+            expected = _rk4_update(f, q, p, h, c1, c2, c4)
+        assert [o.tobytes() for o in outs] == [e.tobytes() for e in expected]
+        assert [b.tobytes() for b in ins] == [x.tobytes() for x in lanes]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda q, p, c: (p, q / 2.0),
+        lambda q, p, c: (p, 2.0 / q),
+        lambda q, p, c: (p, q ** 3),
+        lambda q, p, c: (p, abs(q)),
+        lambda q, p, c: (p, np.cos(q)),
+        lambda q, p, c: (p, math.cos(q)),
+        lambda q, p, c: (p, np.float32(2.0) * q),
+        lambda q, p, c: (p, np.ones(1) * q),
+        lambda q, p, c: (p, -q if q < 0.0 else q),
+        lambda q, p, c: (p, c if q == p else -c),
+        lambda q, p, c: (p, q if q else c),
+        lambda q, p, c: (p, q if p is not None and q != 0.0 else c),
+    ],
+    ids=["div", "rdiv", "pow", "abs", "ufunc", "math", "float32", "array",
+         "less", "equal", "truth", "not_equal"],
+)
+def test_recording_an_unsupported_operation_is_type_error(f):
+    with pytest.raises(TypeError):
+        record_rk4(f, 0.01)
 
 
 def _recording_rule(model, s0, cfg):
