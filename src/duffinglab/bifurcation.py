@@ -22,6 +22,10 @@ __all__ = [
     "PRESET_IDS",
 ]
 
+# Steps a sweep runs between two tests of its lanes while none has died.
+_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One omega sweep: a model template integrated once per grid frequency.
@@ -44,6 +48,11 @@ class SweepConfig:
             raise ValueError("omega bounds, s0.t, t_max and h must be finite")
         if not self.omega_min < self.omega_max:
             raise ValueError("omega_min must be below omega_max")
+        if not math.isfinite(self.omega_max - self.omega_min):
+            raise ValueError(
+                f"omega window [{self.omega_min}, {self.omega_max}] is too wide:"
+                " its span overflows"
+            )
         n = self.n_samples
         if not math.isfinite(n) or int(n) != n or n < 2:
             raise ValueError("n_samples must be an integer >= 2")
@@ -81,7 +90,9 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
     evaluated by the same rule (once per distinct stage time), so lane i is
     bit-for-bit the scalar RK4 run of the template at omega_i.  Lanes that go
     non-finite are frozen at their last finite state and flagged; the rest
-    keep going.
+    keep going.  The lanes are tested once per block of ``_BLOCK`` steps, and
+    a block in which one dies is run again from its start, tested after
+    every step.
     """
     omegas = np.linspace(cfg.omega_min, cfg.omega_max, int(cfg.n_samples))
     model = cfg.model_template
@@ -101,14 +112,18 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
         for s in (0, 1)
     ]
     qs[0][:], ps[0][:] = float(cfg.s0.q), float(cfg.s0.p)
+    q_save, p_save = np.empty(n), np.empty(n)
     s = g = 0
     alive = np.ones(omegas.shape, dtype=bool)
     any_dead = False
     t_end = math.nan
-    cos, multiply = np.cos, np.multiply
+    cos, multiply, isfinite = np.cos, np.multiply, np.isfinite
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
+    def run(start, stop, checked):
+        """Steps start..stop-1.  ``checked`` tests the lanes after every step
+        and freezes the dead ones; returns False once every lane is dead."""
+        nonlocal s, g, t_end, alive, any_dead
+        for i in range(start, stop):
             t = t0 + i * h
             c1, c4 = cs[g], cs[1 - g]
             if t != t_end:
@@ -119,8 +134,11 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
             for uf, a, b, out in progs[s][g]:
                 uf(a, b, out)
             g = 1 - g
+            if not checked:
+                s = 1 - s
+                continue
             qn, pn = qs[1 - s], ps[1 - s]
-            ok = np.isfinite(qn) & np.isfinite(pn)
+            ok = isfinite(qn) & isfinite(pn)
             if not any_dead and bool(ok.all()):
                 s = 1 - s
                 continue
@@ -129,9 +147,33 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
                 alive = alive & ok
                 any_dead = True
                 if not alive.any():
-                    break
+                    return False
             np.copyto(qs[s], qn, where=alive)
             np.copyto(ps[s], pn, where=alive)
+        return True
+
+    # While every lane is alive, blocks of _BLOCK steps run unchecked and the
+    # lanes are tested once at the block's end.  That finds every lane that
+    # went non-finite inside the block: each RK4 output is q + (h/6)*S (p
+    # likewise), and an IEEE add with a non-finite operand is non-finite, so
+    # a non-finite q or p stays non-finite at every later step.  A block that
+    # ends with a non-finite lane is run again from its start, checked step by
+    # step; from the first death on, every step is checked.  Rolling back
+    # restores q and p alone: either buffer parity serves, and cs[g] holds
+    # cos(omegas*t_end), which the rerun reuses only where t equals t_end.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, _BLOCK):
+            stop = min(start + _BLOCK, n_steps)
+            if not any_dead:
+                np.copyto(q_save, qs[s])
+                np.copyto(p_save, ps[s])
+                run(start, stop, checked=False)
+                if isfinite(qs[s]).all() and isfinite(ps[s]).all():
+                    continue
+                np.copyto(qs[s], q_save)
+                np.copyto(ps[s], p_save)
+            if not run(start, stop, checked=True):
+                break
     q, p = qs[s], ps[s]
 
     if model.kind is ModelKind.ECOLOGY:

@@ -54,11 +54,11 @@ __all__ = ["RunManifest", "run", "main", "read_csv_document", "sweep_records_fro
 
 # The most work one request may ask for, in steps x lanes, each charged about
 # its time.  A pass over n lanes or grid points (a sweep step, a Picard pass,
-# the homotopy series) counts max(n, MIN_PASS): below about 900 its fixed numpy
-# call cost outweighs its per-lane cost (a sweep step takes about 32 us plus
-# 32 ns per lane on a 2-core VM, 46 us at 500 lanes, about 50 ns per charged
-# lane-step).  A scalar step (simulate, compare's RK4 run), about 1.3 us,
-# counts SCALAR_STEP, a little under its time in lane-steps of a preset sweep,
+# the homotopy series) counts max(n, MIN_PASS): below several hundred lanes its
+# fixed numpy call cost outweighs its per-lane cost (a sweep step takes about
+# 21 us plus 30 ns per lane on a 2-core VM, 33 us at 500 lanes, about 37 ns per
+# charged lane-step).  A scalar step (simulate, compare's RK4 run), about 1.3 us,
+# counts SCALAR_STEP, under its time in lane-steps of a preset sweep (about 35),
 # and a lyapunov step, which also steps the tangent system, twice that.  A full
 # preset sweep is 9e8.  A larger request is refused before anything is
 # allocated or stepped.

@@ -220,7 +220,9 @@ def rhs_fn(model: ModelSpec) -> Callable:
     The callable uses only ``+``, ``-`` (binary and unary) and ``*`` on
     ``q``, ``p`` and ``c``, with each other or with real numbers: a sweep
     records one RK4 step of it (``integrators.record_rk4``), which rejects
-    any other operation with TypeError.
+    any other operation with TypeError.  The recording binds each real number
+    once, as a 0-d float64 array holding the same double, so an int constant
+    is taken as its float value.
     """
     return _bind(model)[0]
 

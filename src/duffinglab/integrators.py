@@ -162,7 +162,11 @@ def record_rk4(f, h):
     ``_rk4_update`` on the arrays, in its order and on the same operands, so
     the outputs equal its result bit for bit.  The program reads ``ins``,
     writes only ``outs`` and ``temps``, and reuses a scratch array once the
-    value in it has had its last read.
+    value in it has had its last read.  Each real-number operand (``0.5*h``,
+    ``h/6``, a model coefficient) is bound once, as a 0-d float64 array
+    holding the same double, so that no call converts a Python number; an
+    int constant is taken as its float value, as numpy takes it against a
+    float64 lane.
     """
     tape = [None] * 5
     q, p, c1, c2, c4 = (_Lane(tape, i) for i in range(5))
@@ -187,9 +191,13 @@ def record_rk4(f, h):
 
     def bind(ins, outs, temps):
         arrays = [*ins, *outs, *temps]
+        consts = {}  # one 0-d array per double, keyed by its bytes: 0.0 is not -0.0
 
         def arg(x):
-            return arrays[buf[x.ref]] if isinstance(x, _Lane) else x
+            if isinstance(x, _Lane):
+                return arrays[buf[x.ref]]
+            c = np.array(float(x))
+            return consts.setdefault(c.tobytes(), c)
 
         return [(uf, arg(a), arg(b), arrays[buf[j]]) for j, (uf, a, b) in ops]
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from duffinglab import bifurcation
 from duffinglab.bifurcation import (
     PRESET_IDS,
     DynamicsPreset,
@@ -64,6 +65,28 @@ def _chaos_sweep():
     )
 
 
+def _all_dead_sweep():
+    # positive quintic coefficient from a large start blows up immediately
+    template = ModelSpec(kind=ModelKind.ECOLOGY, alpha=1.0, beta=0.5,
+                         coupling_a=0.1)
+    return SweepConfig(
+        model_template=template, omega_min=0.1, omega_max=1.0, n_samples=6,
+        s0=State(3.0, 0.0, 0.0), t_max=10.0, h=0.01,
+    )
+
+
+def _late_divergence_sweep():
+    # anti-damped softening Duffing: lanes escape past |q| = 1 one by one from
+    # about step 940 on, many 64-step blocks in (two of them within one
+    # block), and one lane stays bounded
+    template = ModelSpec(kind=ModelKind.DUFFING_CLASSIC, delta=-0.1, alpha=1.0,
+                         beta=-1.0, gamma=0.15)
+    return SweepConfig(
+        model_template=template, omega_min=0.5, omega_max=1.5, n_samples=8,
+        s0=State(0.1, -0.2, 0.37), t_max=20.37, h=0.013,
+    )
+
+
 # Kinds whose dq is the input p itself; s0.t and h make the forcing reuse
 # test t == t_end both true and false.
 def _kind_sweep(kind, **coeffs):
@@ -81,9 +104,11 @@ def _kind_sweep(kind, **coeffs):
      _kind_sweep(ModelKind.DUFFING_HOMOTOPY, delta=0.1, alpha=1.0, beta=0.2,
                  gamma=0.3, lambda_h=0.5),
      _kind_sweep(ModelKind.DUFFING_QUINTIC, delta=0.05, beta=0.3, gamma=0.2),
-     _kind_sweep(ModelKind.LINEAR_TEST, delta=0.1, alpha=1.0)],
+     _kind_sweep(ModelKind.LINEAR_TEST, delta=0.1, alpha=1.0),
+     _all_dead_sweep, _late_divergence_sweep],
     ids=["bif_case_1", "duffing_chaos", "ecology_mixed_divergence", "two_lanes",
-         "duffing_classic", "duffing_homotopy", "duffing_quintic", "linear_test"],
+         "duffing_classic", "duffing_homotopy", "duffing_quintic", "linear_test",
+         "all_lanes_dead", "late_divergence"],
 )
 def test_sweep_lane_equals_scalar_rk4_bitwise(make_cfg):
     cfg = make_cfg()
@@ -94,6 +119,26 @@ def test_sweep_lane_equals_scalar_rk4_bitwise(make_cfg):
         traj = integrate(model, cfg.s0, run)
         last = traj.samples[-1]
         assert (r.x_final, r.y_final, r.diverged) == (last.q, last.p, traj.diverged)
+
+
+@pytest.mark.parametrize(
+    "make_cfg", [_mixed_divergence_sweep, _all_dead_sweep, _late_divergence_sweep],
+    ids=["ecology_mixed_divergence", "all_lanes_dead", "late_divergence"],
+)
+def test_sweep_block_rollback_is_bitwise_for_any_block_length(make_cfg, monkeypatch):
+    # A block in which a lane dies is rolled back and run again step by step:
+    # the records must not depend on where the block boundaries fall.
+    cfg = make_cfg()
+    runs = []
+    for block in (1, 2, 7, 64):
+        monkeypatch.setattr(bifurcation, "_BLOCK", block)
+        runs.append([
+            (r.omega.hex(), r.x_final.hex(), r.y_final.hex(),
+             r.conservation_residual.hex(), r.diverged)
+            for r in sweep_omega(cfg)
+        ])
+    assert any(diverged for *_, diverged in runs[0])
+    assert all(run == runs[0] for run in runs[1:])
 
 
 def test_mixed_divergence_sweep_has_both_kinds_of_lane():
@@ -125,14 +170,7 @@ def test_sweep_non_ecology_records_zero_residual():
 
 
 def test_sweep_flags_divergent_samples_and_keeps_going():
-    # positive quintic coefficient from a large start blows up immediately
-    template = ModelSpec(kind=ModelKind.ECOLOGY, alpha=1.0, beta=0.5,
-                         coupling_a=0.1)
-    cfg = SweepConfig(
-        model_template=template, omega_min=0.1, omega_max=1.0, n_samples=6,
-        s0=State(3.0, 0.0, 0.0), t_max=10.0, h=0.01,
-    )
-    records = sweep_omega(cfg)
+    records = sweep_omega(_all_dead_sweep())
     assert len(records) == 6
     assert all(r.diverged for r in records)
     assert all(math.isfinite(r.x_final) and math.isfinite(r.y_final) for r in records)
@@ -151,6 +189,10 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError, match="span must cover at least one step"):
         SweepConfig(template, 0.1, 0.5, 10, s0, 0.004, 0.01)
     SweepConfig(template, 0.1, 0.5, 10, s0, 0.01, 0.01)  # one step is enough
+    # finite bounds whose span overflows: the grid would hold nan and inf
+    with pytest.raises(ValueError, match=r"omega window \[-1e\+308, 1e\+308\]"):
+        SweepConfig(template, -1e308, 1e308, 3, s0, 0.05, 0.01)
+    SweepConfig(template, -8e307, 8e307, 3, s0, 0.05, 0.01)  # a finite span is fine
 
 
 def test_preset_ids_cover_all_cases():

@@ -307,6 +307,11 @@ def test_integer_field_rejects_fractional_override(capsys):
             "--set", "model.alpha=nan",
         ],
         ["picard", "--preset", "CHAOS_A02", "--t-max", "1", "--set", "run.t0=nan"],
+        # finite bounds whose span overflows would put nan and inf on the grid
+        [
+            "bifurcate", "--preset", "BIF_CASE_1", "--omega-min=-1e308",
+            "--omega-max", "1e308", "--samples", "3", "--t-max", "0.05",
+        ],
     ],
 )
 def test_non_finite_input_is_usage_error(argv, capsys):

@@ -253,8 +253,8 @@ def _special_lanes(shift):
 @pytest.mark.parametrize(
     "f",
     [rhs_fn(ModelSpec(kind=kind, **ALL_KINDS[kind])) for kind in ModelKind]
-    + [lambda q, p, c: (-p, -(q * c) - 0.5)],
-    ids=[kind.value for kind in ModelKind] + ["unary_minus"],
+    + [lambda q, p, c: (-p, -(q * c) - 0.5), lambda q, p, c: (0.0 * p + c, -0.0 * q)],
+    ids=[kind.value for kind in ModelKind] + ["unary_minus", "signed_zero"],
 )
 def test_replayed_step_equals_rk4_update_bitwise(f):
     h = 0.013
@@ -262,6 +262,9 @@ def test_replayed_step_equals_rk4_update_bitwise(f):
     n = len(SPECIAL) ** 2
     ins, outs = [np.empty(n) for _ in range(5)], [np.empty(n) for _ in range(2)]
     prog = bind(ins, outs, [np.full(n, 7.0) for _ in range(n_temps)])
+    # constants too are bound as float64 arrays (0-d), so no call converts one
+    assert all(type(x) is np.ndarray and x.dtype == np.float64
+               for _, a, b, _ in prog for x in (a, b))
     # twice, with other inputs: a stale or aliased buffer shows in one of them
     for shift in (0, 4):
         lanes = _special_lanes(shift)
@@ -274,6 +277,11 @@ def test_replayed_step_equals_rk4_update_bitwise(f):
             expected = _rk4_update(f, q, p, h, c1, c2, c4)
         assert [o.tobytes() for o in outs] == [e.tobytes() for e in expected]
         assert [b.tobytes() for b in ins] == [x.tobytes() for x in lanes]
+        # A sweep tests its lanes once per block on this: a non-finite q (or
+        # p) input gives a non-finite q_new (or p_new), whatever the others.
+        for x, new in zip((q, p), outs):
+            bad = ~np.isfinite(x)
+            assert bad.any() and not np.isfinite(new[bad]).any()
 
 
 @pytest.mark.parametrize(
