@@ -86,7 +86,9 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
 
     All lanes advance in lockstep as one vectorized batch through the same
     RK4 update that ``integrate`` uses, recorded once (``record_rk4``) and
-    replayed every step into preallocated lane buffers, with the forcing
+    replayed every step into preallocated lane buffers, the state (q, p) as
+    the rows of one (2, L) array so that a q/p pair of operations runs as
+    one call, with the forcing
     evaluated by the same rule (once per distinct stage time), so lane i is
     bit-for-bit the scalar RK4 run of the template at omega_i.  Lanes that go
     non-finite are frozen at their last finite state and flagged; the rest
@@ -98,21 +100,20 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
     model = cfg.model_template
     h, t0 = cfg.h, cfg.s0.t
     n_steps = int(step_count(t0, cfg.t_max, h))
-    # Lane buffers owned by this call.  The state alternates between qs[s],
-    # ps[s] and qs[1 - s], ps[1 - s]; c1 is read from cs[g], where the last
-    # step's c4 is, and c4 written to cs[1 - g].  So the step is recorded
+    # Lane buffers owned by this call.  The state, q in row 0 and p in row 1,
+    # alternates between xs[s] and xs[1 - s]; c1 is read from cs[g], where the
+    # last step's c4 is, and c4 written to cs[1 - g].  So the step is recorded
     # once and bound once per (s, g).
-    n_temps, bind = record_rk4(rhs_fn(model), h)
+    widths, bind = record_rk4(rhs_fn(model), h)
     n = omegas.size
-    qs, ps, cs = ([np.empty(n) for _ in range(2)] for _ in range(3))
-    c2, temps = np.empty(n), [np.empty(n) for _ in range(n_temps)]
+    xs, cs = [np.empty((2, n)) for _ in range(2)], [np.empty(n) for _ in range(2)]
+    c2, scratch = np.empty(n), [np.empty((w, n)) for w in widths]
     progs = [
-        [bind((qs[s], ps[s], cs[g], c2, cs[1 - g]), (qs[1 - s], ps[1 - s]), temps)
-         for g in (0, 1)]
+        [bind((xs[s], cs[g], c2, cs[1 - g]), xs[1 - s], scratch) for g in (0, 1)]
         for s in (0, 1)
     ]
-    qs[0][:], ps[0][:] = float(cfg.s0.q), float(cfg.s0.p)
-    q_save, p_save = np.empty(n), np.empty(n)
+    xs[0][0], xs[0][1] = float(cfg.s0.q), float(cfg.s0.p)
+    x_save = np.empty((2, n))
     s = g = 0
     alive = np.ones(omegas.shape, dtype=bool)
     any_dead = False
@@ -137,7 +138,7 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
             if not checked:
                 s = 1 - s
                 continue
-            qn, pn = qs[1 - s], ps[1 - s]
+            qn, pn = xs[1 - s]
             ok = isfinite(qn) & isfinite(pn)
             if not any_dead and bool(ok.all()):
                 s = 1 - s
@@ -148,8 +149,7 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
                 any_dead = True
                 if not alive.any():
                     return False
-            np.copyto(qs[s], qn, where=alive)
-            np.copyto(ps[s], pn, where=alive)
+            np.copyto(xs[s], xs[1 - s], where=alive)
         return True
 
     # While every lane is alive, blocks of _BLOCK steps run unchecked and the
@@ -159,22 +159,20 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
     # a non-finite q or p stays non-finite at every later step.  A block that
     # ends with a non-finite lane is run again from its start, checked step by
     # step; from the first death on, every step is checked.  Rolling back
-    # restores q and p alone: either buffer parity serves, and cs[g] holds
+    # restores the state alone: either buffer parity serves, and cs[g] holds
     # cos(omegas*t_end), which the rerun reuses only where t equals t_end.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, _BLOCK):
             stop = min(start + _BLOCK, n_steps)
             if not any_dead:
-                np.copyto(q_save, qs[s])
-                np.copyto(p_save, ps[s])
+                np.copyto(x_save, xs[s])
                 run(start, stop, checked=False)
-                if isfinite(qs[s]).all() and isfinite(ps[s]).all():
+                if isfinite(xs[s]).all():
                     continue
-                np.copyto(qs[s], q_save)
-                np.copyto(ps[s], p_save)
+                np.copyto(xs[s], x_save)
             if not run(start, stop, checked=True):
                 break
-    q, p = qs[s], ps[s]
+    q, p = xs[s]
 
     if model.kind is ModelKind.ECOLOGY:
         offset0 = cfg.s0.p - model.beta * cfg.s0.q

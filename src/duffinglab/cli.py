@@ -56,9 +56,10 @@ __all__ = ["RunManifest", "run", "main", "read_csv_document", "sweep_records_fro
 # its time.  A pass over n lanes or grid points (a sweep step, a Picard pass,
 # the homotopy series) counts max(n, MIN_PASS): below several hundred lanes its
 # fixed numpy call cost outweighs its per-lane cost (a sweep step takes about
-# 21 us plus 30 ns per lane on a 2-core VM, 33 us at 500 lanes, about 37 ns per
-# charged lane-step).  A scalar step (simulate, compare's RK4 run), about 1.3 us,
-# counts SCALAR_STEP, under its time in lane-steps of a preset sweep (about 35),
+# 23 us plus 35 ns per lane on a 2-core VM, 38 us at 500 lanes, about 42 ns per
+# charged lane-step, measured while a scalar step took 1.7 us; the VM's speed
+# varies by about 25%).  A scalar step (simulate, compare's RK4 run), 1.3-1.7 us,
+# counts SCALAR_STEP, under its time in lane-steps of a preset sweep (35-40),
 # and a lyapunov step, which also steps the tangent system, twice that.  A full
 # preset sweep is 9e8.  A larger request is refused before anything is
 # allocated or stepped.

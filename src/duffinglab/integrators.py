@@ -152,56 +152,151 @@ class _Lane:
     __ne__ = __eq__
 
 
+def _lanes(*xs):
+    return [x.ref for x in xs if isinstance(x, _Lane)]
+
+
 def record_rk4(f, h):
     """Record one ``_rk4_update`` of ``f`` at step ``h`` for replay over lanes.
 
-    Returns ``(n_temps, bind)``.  ``bind(ins, outs, temps)`` takes the lane
-    arrays ins = (q, p, c1, c2, c4), outs = (q_new, p_new) and ``n_temps``
-    scratch arrays, and returns the step as a list of ``(uf, a, b, out)``, to
-    be run in order as ``uf(a, b, out)``.  These are the operations of
-    ``_rk4_update`` on the arrays, in its order and on the same operands, so
-    the outputs equal its result bit for bit.  The program reads ``ins``,
-    writes only ``outs`` and ``temps``, and reuses a scratch array once the
-    value in it has had its last read.  Each real-number operand (``0.5*h``,
-    ``h/6``, a model coefficient) is bound once, as a 0-d float64 array
-    holding the same double, so that no call converts a Python number; an
-    int constant is taken as its float value, as numpy takes it against a
-    float64 lane.
+    Returns ``(widths, bind)``.  ``bind(ins, out, scratch)`` takes the arrays
+    ins = (x, c1, c2, c4), where x is the (2, L) state with q in row 0 and p
+    in row 1, the (2, L) ``out`` for (q_new, p_new) and one (w, L) scratch
+    array per w in ``widths``, and returns the step as a list of
+    ``(uf, a, b, out)``, to be run in order as ``uf(a, b, out)``.  The
+    program reads ``ins``, writes only ``out`` and ``scratch``, and reuses a
+    scratch row once the value in it has had its last read.
+
+    The update does the same operations on q and on p.  Its partner lanes
+    are (q, p), each stage's (kq, kp) and (q_new, p_new); two operations are
+    partners when they call the same ufunc and each operand is a partner
+    lane or the same constant, and their results are partner lanes in turn.
+    Partner operations run as one call where the later one ran, unless the
+    earlier one's result is read before then, and the partner lanes such a
+    call reads or writes are the rows of one (2, L) buffer.  So every call
+    is one of ``_rk4_update``'s operations on its operands, or two at once.
+    An element-wise operation gives the same bits in any layout, except for
+    which NaN it returns when both operands are NaN: the outputs equal its
+    result bit for bit wherever that is not NaN, and are NaN where it is.
+
+    Each real-number operand (``0.5*h``, ``h/6``, a model coefficient) is
+    bound once, as a 0-d float64 array holding the same double, so that no
+    call converts a Python number; an int constant is taken as its float
+    value, as numpy takes it against a float64 lane.
     """
     tape = [None] * 5
     q, p, c1, c2, c4 = (_Lane(tape, i) for i in range(5))
-    q_new, p_new = _rk4_update(f, q, p, h, c1, c2, c4)
+    pairs = []
+
+    def stage(q, p, c):
+        pairs.append(f(q, p, c))
+        return pairs[-1]
+
+    pairs.append(_rk4_update(stage, q, p, h, c1, c2, c4))
     ops = list(enumerate(tape[5:], 5))
-    last_read = {
-        x.ref: j for j, (_, a, b) in ops for x in (a, b) if isinstance(x, _Lane)
-    }
-    # each value's index in [*ins, *outs, *temps]
-    buf = {i: i for i in range(5)}
-    buf[q_new.ref], buf[p_new.ref] = 5, 6
-    free, n_temps = [], 0
-    for j, (_, a, b) in ops:
-        for ref in {x.ref for x in (a, b) if isinstance(x, _Lane)}:
-            if last_read[ref] == j and buf[ref] > 6:
-                free.append(buf[ref])
-        if j not in buf:
-            if not free:
-                free.append(7 + n_temps)
-                n_temps += 1
-            buf[j] = free.pop()
+    mate = {0: (1, 0), 1: (0, 1)}  # a lane's partner, and its row in their buffer
+    for a, b in pairs:
+        if all(isinstance(x, _Lane) and x.ref > 4 and x.ref not in mate
+               for x in (a, b)) and a.ref != b.ref:
+            mate[a.ref], mate[b.ref] = (b.ref, 0), (a.ref, 1)
 
-    def bind(ins, outs, temps):
-        arrays = [*ins, *outs, *temps]
-        consts = {}  # one 0-d array per double, keyed by its bytes: 0.0 is not -0.0
+    def key(x, flip):
+        if isinstance(x, _Lane):
+            return mate[x.ref][0] if flip else x.ref
+        return np.float64(x).tobytes()  # 0.0 is not -0.0
 
-        def arg(x):
+    later, seen = {}, {}  # later[i] = j: partners i < j, run as one call at j
+    for j, (uf, a, b) in ops:
+        rows = {mate.get(r, (0, None))[1] for r in _lanes(a, b)}
+        row = rows.pop() if rows in ({0}, {1}) else None
+        i = None if row is None else seen.pop((uf, key(a, True), key(b, True)), None)
+        if i is not None and mate.get(i, (j, 1 - row)) == (j, 1 - row) \
+                and mate.get(j, (i, row)) == (i, row):
+            mate[i], mate[j], later[i] = (j, 1 - row), (i, row), j
+        else:
+            seen[uf, key(a, False), key(b, False)] = j
+    # An earlier partner whose result is read before the later one ran stays
+    # where it was, and moving it back can make another such read.
+    while bad := {r for j, (_, a, b) in ops for r in _lanes(a, b)
+                  if later.get(r, r) >= later.get(j, j)}:
+        for i in bad:
+            del later[i]
+    earlier = {j: i for i, j in later.items()}
+    units = []  # (uf, a, b, the refs it writes, in row order)
+    for j, (uf, a, b) in ops:
+        if j in earlier:
+            r0 = j if mate[j][1] == 0 else earlier[j]
+            units.append((*tape[r0], (r0, mate[r0][0])))
+        elif j not in later:
+            units.append((uf, a, b, (j,)))
+    # the lanes each unit reads: a joint call reads its operands' partners too
+    reads = [[*_lanes(a, b), *(mate[r][0] for r in _lanes(a, b) if len(outs) > 1)]
+             for _, a, b, outs in units]
+    # lanes that a joint call reads or writes are stacked, the others single
+    stacked = {r for u, (*_, outs) in enumerate(units) if len(outs) > 1
+               for r in (*reads[u], *outs)}
+    last = {r: u for u, (*_, outs) in enumerate(units) for r in (*reads[u], *outs)}
+
+    # Each lane's home (buffer, row): buffer 0 is x, 1 is out and 2 + k is
+    # scratch[k].  A row is free again after its lane's last read, and the
+    # most recently freed row is taken first, so that a call overwrites an
+    # operand it has just read where it can.  A stacked lane takes a buffer
+    # whose two rows are free, for itself and its partner.
+    home = {0: (0, 0), 1: (0, 1)} | {r: (1, i) for i, r in enumerate(_lanes(*pairs[-1]))}
+    free, widths = [], []
+
+    def done(refs, u):  # the scratch rows of refs whose last use is u
+        return [home[r] for r in dict.fromkeys(refs)
+                if last[r] == u and home.get(r, (0,))[0] > 1]
+
+    def new(width):
+        widths.append(width)
+        return len(widths) + 1
+
+    for u, (*_, outs) in enumerate(units):
+        free += done(reads[u], u)
+        r = outs[0]
+        if r in stacked and r not in home:
+            row = mate[r][1]
+            k = next((k for k, i in reversed(free) if i == row and (k, 1 - row) in free),
+                     None) or new(2)
+            free = [f for f in free if f[0] != k]
+            home[r], home[mate[r][0]] = (k, row), (k, 1 - row)
+        elif r not in home:
+            home[r] = free.pop() if free else (new(1), 0)
+        free += done(outs, u)
+
+    def bind(ins, out, scratch):
+        x, *cs = ins
+        bufs = [x, out, *scratch]
+        # One array object per row: numpy runs an in-place call cheaply only
+        # when its output is the very object it reads, not another view of
+        # the same memory.
+        views, consts = {}, {}  # consts: one 0-d array per double, keyed by its bytes
+
+        def view(r, whole):
+            if r in (2, 3, 4):
+                return cs[r - 2]
+            k, row = home[r]
+            if whole:
+                return bufs[k]
+            if (k, row) not in views:
+                views[k, row] = bufs[k][row]
+            return views[k, row]
+
+        def arg(x, whole):
             if isinstance(x, _Lane):
-                return arrays[buf[x.ref]]
+                return view(x.ref, whole)
             c = np.array(float(x))
             return consts.setdefault(c.tobytes(), c)
 
-        return [(uf, arg(a), arg(b), arrays[buf[j]]) for j, (uf, a, b) in ops]
+        return [
+            (uf, arg(a, joint), arg(b, joint), view(outs[0], joint))
+            for uf, a, b, outs in units
+            for joint in [len(outs) > 1]
+        ]
 
-    return n_temps, bind
+    return tuple(widths), bind
 
 
 def _checked(q: float, p: float, t: float) -> State:

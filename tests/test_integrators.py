@@ -17,6 +17,7 @@ from duffinglab.dynamics import (
 from duffinglab.integrators import (
     IntegrationConfig,
     Method,
+    _Lane,
     _rk4_update,
     integrate,
     iterate_fd_duffing,
@@ -258,30 +259,62 @@ def _special_lanes(shift):
 )
 def test_replayed_step_equals_rk4_update_bitwise(f):
     h = 0.013
-    n_temps, bind = record_rk4(f, h)
+    widths, bind = record_rk4(f, h)
     n = len(SPECIAL) ** 2
-    ins, outs = [np.empty(n) for _ in range(5)], [np.empty(n) for _ in range(2)]
-    prog = bind(ins, outs, [np.full(n, 7.0) for _ in range(n_temps)])
+    # the state (q, p) in and out as the rows of one (2, n) array each
+    x_in, cs, out = np.empty((2, n)), [np.empty(n) for _ in range(3)], np.empty((2, n))
+    prog = bind((x_in, *cs), out, [np.full((w, n), 7.0) for w in widths])
     # constants too are bound as float64 arrays (0-d), so no call converts one
     assert all(type(x) is np.ndarray and x.dtype == np.float64
                for _, a, b, _ in prog for x in (a, b))
     # twice, with other inputs: a stale or aliased buffer shows in one of them
     for shift in (0, 4):
         lanes = _special_lanes(shift)
-        for buf, x in zip(ins, lanes):
+        for buf, x in zip((*x_in, *cs), lanes):
             buf[:] = x
         with np.errstate(all="ignore"):
-            for uf, a, b, out in prog:
-                uf(a, b, out)
+            for uf, a, b, o in prog:
+                uf(a, b, o)
             q, p, c1, c2, c4 = lanes
             expected = _rk4_update(f, q, p, h, c1, c2, c4)
-        assert [o.tobytes() for o in outs] == [e.tobytes() for e in expected]
-        assert [b.tobytes() for b in ins] == [x.tobytes() for x in lanes]
+        assert [o.tobytes() for o in out] == [e.tobytes() for e in expected]
+        assert [b.tobytes() for b in (*x_in, *cs)] == [x.tobytes() for x in lanes]
         # A sweep tests its lanes once per block on this: a non-finite q (or
         # p) input gives a non-finite q_new (or p_new), whatever the others.
-        for x, new in zip((q, p), outs):
+        for x, new in zip((q, p), out):
             bad = ~np.isfinite(x)
             assert bad.any() and not np.isfinite(new[bad]).any()
+
+
+def _recorded_ops(f, h):
+    """The operations that one ``_rk4_update`` of f records, counted apart
+    from the replayed program."""
+    tape = [None] * 5
+    q, p, c1, c2, c4 = (_Lane(tape, i) for i in range(5))
+    _rk4_update(f, q, p, h, c1, c2, c4)
+    return len(tape) - 5
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=[k.value for k in ModelKind])
+def test_replay_fuses_partner_operations_in_bounded_scratch(kind):
+    f, h, n = rhs_fn(ModelSpec(kind=kind, **ALL_KINDS[kind])), 0.013, 3
+    widths, bind = record_rk4(f, h)
+    prog = bind((np.empty((2, n)), *(np.empty(n) for _ in range(3))), np.empty((2, n)),
+                [np.empty((w, n)) for w in widths])
+    recorded = _recorded_ops(f, h)
+    # every recorded operation runs once: alone on a row, or with its partner
+    # as one call over a (2, n) buffer
+    assert sum(out.size for *_, out in prog) == recorded * n
+    assert len(prog) <= recorded
+    # at most 10 scratch rows of n lanes: ECOLOGY needs 4 pairs and 2 singles
+    assert sum(widths) <= 10
+    if kind is ModelKind.ECOLOGY:
+        # its stage sums (12 ops) and final sums (14) run as 6 and 7 calls
+        assert (len(prog), recorded) == (53, 66)
+        # and 39 calls overwrite an operand, the rhs's last add among them:
+        # at 4000 lanes a row is 32 KB, and a call that writes another row
+        # than the one it just read runs up to twice as long
+        assert sum(out is a or out is b for _, a, b, out in prog) >= 39
 
 
 @pytest.mark.parametrize(
