@@ -10,7 +10,7 @@ import numpy as np
 
 from .analysis import LyapunovConfig
 from .dynamics import ModelKind, ModelSpec, State, rhs_fn
-from .integrators import IntegrationConfig, Method, record_rk4, step_count
+from .integrators import IntegrationConfig, Method, check_span, record_rk4, step_count
 
 __all__ = [
     "SweepConfig",
@@ -43,9 +43,8 @@ class SweepConfig:
     h: float
 
     def __post_init__(self):
-        bounds = (self.omega_min, self.omega_max, self.s0.t, self.t_max, self.h)
-        if not all(map(math.isfinite, bounds)):
-            raise ValueError("omega bounds, s0.t, t_max and h must be finite")
+        if not all(map(math.isfinite, (self.omega_min, self.omega_max))):
+            raise ValueError("omega bounds must be finite")
         if not self.omega_min < self.omega_max:
             raise ValueError("omega_min must be below omega_max")
         if not math.isfinite(self.omega_max - self.omega_min):
@@ -56,12 +55,7 @@ class SweepConfig:
         n = self.n_samples
         if not math.isfinite(n) or int(n) != n or n < 2:
             raise ValueError("n_samples must be an integer >= 2")
-        if not self.t_max > self.s0.t:
-            raise ValueError("t_max must exceed the initial time")
-        if not self.h > 0:
-            raise ValueError("h must be positive")
-        if (self.t_max - self.s0.t) / self.h < 1.0:
-            raise ValueError("span must cover at least one step")
+        check_span(self.s0.t, self.t_max, self.h)
 
 
 @dataclass(frozen=True)
@@ -86,35 +80,29 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
 
     All lanes advance in lockstep as one vectorized batch through the same
     RK4 update that ``integrate`` uses, recorded once (``record_rk4``) and
-    replayed every step into preallocated lane buffers, the state (q, p) as
-    the rows of one (2, L) array so that a q/p pair of operations runs as
-    one call, with the forcing
-    evaluated by the same rule (once per distinct stage time), so lane i is
-    bit-for-bit the scalar RK4 run of the template at omega_i.  Lanes that go
-    non-finite are frozen at their last finite state and flagged; the rest
-    keep going.  The lanes are tested once per block of ``_BLOCK`` steps, and
-    a block in which one dies is run again from its start, tested after
-    every step.
+    replayed every step over one (2, L) state array, q in row 0 and p in
+    row 1, which the step overwrites in place; a q/p pair of operations runs
+    as one call.  The forcing is evaluated by the same rule (once per
+    distinct stage time), so lane i is bit-for-bit the scalar RK4 run of the
+    template at omega_i.  Lanes that go non-finite are frozen at their last
+    finite state and flagged; the rest keep going.  The lanes are tested
+    once per block of ``_BLOCK`` steps, and a block in which one dies is run
+    again from its start, tested after every step.
     """
     omegas = np.linspace(cfg.omega_min, cfg.omega_max, int(cfg.n_samples))
     model = cfg.model_template
     h, t0 = cfg.h, cfg.s0.t
     n_steps = int(step_count(t0, cfg.t_max, h))
-    # Lane buffers owned by this call.  The state, q in row 0 and p in row 1,
-    # alternates between xs[s] and xs[1 - s]; c1 is read from cs[g], where the
-    # last step's c4 is, and c4 written to cs[1 - g].  So the step is recorded
-    # once and bound once per (s, g).
+    # Lane buffers owned by this call.  The state x (q in row 0, p in row 1) is
+    # stepped in place; c1 is read from cs[g], where the last step's c4 is, and
+    # c4 written to cs[1 - g], so the step is bound once per g.
     widths, bind = record_rk4(rhs_fn(model), h)
     n = omegas.size
-    xs, cs = [np.empty((2, n)) for _ in range(2)], [np.empty(n) for _ in range(2)]
+    x, x_save, cs = np.empty((2, n)), np.empty((2, n)), [np.empty(n) for _ in range(2)]
     c2, scratch = np.empty(n), [np.empty((w, n)) for w in widths]
-    progs = [
-        [bind((xs[s], cs[g], c2, cs[1 - g]), xs[1 - s], scratch) for g in (0, 1)]
-        for s in (0, 1)
-    ]
-    xs[0][0], xs[0][1] = float(cfg.s0.q), float(cfg.s0.p)
-    x_save = np.empty((2, n))
-    s = g = 0
+    progs = [bind((x, cs[g], c2, cs[1 - g]), scratch) for g in (0, 1)]
+    x[0], x[1] = float(cfg.s0.q), float(cfg.s0.p)
+    g = 0
     alive = np.ones(omegas.shape, dtype=bool)
     any_dead = False
     t_end = math.nan
@@ -122,8 +110,8 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
 
     def run(start, stop, checked):
         """Steps start..stop-1.  ``checked`` tests the lanes after every step
-        and freezes the dead ones; returns False once every lane is dead."""
-        nonlocal s, g, t_end, alive, any_dead
+        and restores dead ones from x_save; returns False once all are dead."""
+        nonlocal g, t_end, alive, any_dead
         for i in range(start, stop):
             t = t0 + i * h
             c1, c4 = cs[g], cs[1 - g]
@@ -132,24 +120,21 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
             t_end = t + h
             cos(multiply(omegas, t_end, c4), c4)
             cos(multiply(omegas, t + 0.5 * h, c2), c2)
-            for uf, a, b, out in progs[s][g]:
+            if checked:
+                np.copyto(x_save, x)
+            for uf, a, b, out in progs[g]:
                 uf(a, b, out)
             g = 1 - g
             if not checked:
-                s = 1 - s
                 continue
-            qn, pn = xs[1 - s]
-            ok = isfinite(qn) & isfinite(pn)
+            ok = isfinite(x[0]) & isfinite(x[1])
             if not any_dead and bool(ok.all()):
-                s = 1 - s
                 continue
-            newly_dead = alive & ~ok
-            if newly_dead.any():
-                alive = alive & ok
-                any_dead = True
-                if not alive.any():
-                    return False
-            np.copyto(xs[s], xs[1 - s], where=alive)
+            alive = alive & ok
+            any_dead = True
+            np.copyto(x, x_save, where=~alive)
+            if not alive.any():
+                return False
         return True
 
     # While every lane is alive, blocks of _BLOCK steps run unchecked and the
@@ -159,20 +144,20 @@ def sweep_omega(cfg: SweepConfig) -> list[SweepRecord]:
     # a non-finite q or p stays non-finite at every later step.  A block that
     # ends with a non-finite lane is run again from its start, checked step by
     # step; from the first death on, every step is checked.  Rolling back
-    # restores the state alone: either buffer parity serves, and cs[g] holds
-    # cos(omegas*t_end), which the rerun reuses only where t equals t_end.
+    # restores the state alone: cs[g] holds cos(omegas*t_end), which the rerun
+    # reuses only where t equals t_end.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, _BLOCK):
             stop = min(start + _BLOCK, n_steps)
             if not any_dead:
-                np.copyto(x_save, xs[s])
+                np.copyto(x_save, x)
                 run(start, stop, checked=False)
-                if isfinite(xs[s]).all():
+                if isfinite(x).all():
                     continue
-                np.copyto(xs[s], x_save)
+                np.copyto(x, x_save)
             if not run(start, stop, checked=True):
                 break
-    q, p = xs[s]
+    q, p = x
 
     if model.kind is ModelKind.ECOLOGY:
         offset0 = cfg.s0.p - model.beta * cfg.s0.q

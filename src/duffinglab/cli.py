@@ -48,7 +48,9 @@ from .bifurcation import (
     sweep_omega,
 )
 from .dynamics import MODEL_FIELDS
-from .integrators import FD_FIELDS, Method, integrate, iterate_fd_duffing, step_count
+from .integrators import (
+    FD_FIELDS, Method, check_span, integrate, iterate_fd_duffing, step_count,
+)
 
 __all__ = ["RunManifest", "run", "main", "read_csv_document", "sweep_records_from_csv"]
 
@@ -313,14 +315,9 @@ def _bound(work: float, rows: float) -> None:
 
 
 def _time_grid(t0: float, t_max: float, h: float, passes: int = 1) -> np.ndarray:
-    """The grid t0 + i*h over [t0, t_max], once it is known to fit the row
-    bound and ``passes`` passes over it the work bound."""
-    if not all(map(math.isfinite, (t0, t_max, h))):
-        raise UsageError("t0, t_max and h must be finite")
-    if not h > 0:
-        raise UsageError("h must be positive")
-    if not t_max > t0:
-        raise UsageError("t_max must exceed t0")
+    """The grid t0 + i*h over a checked span [t0, t_max], once it is known to
+    fit the row bound and ``passes`` passes over it the work bound."""
+    check_span(t0, t_max, h)
     n = step_count(t0, t_max, h)
     _bound(max(n + 1, MIN_PASS) * passes, n + 1)
     return t0 + h * np.arange(int(n) + 1)

@@ -36,6 +36,19 @@ def step_count(t0: float, t_max: float, h: float) -> float:
     return float(math.floor(x)) if math.isfinite(x) else x
 
 
+def check_span(t0: float, t_max: float, h: float) -> None:
+    """Refuse a fixed-step run over [t0, t_max] at step h unless all three are
+    finite, h > 0 and the span covers at least one step."""
+    if not all(map(math.isfinite, (t0, t_max, h))):
+        raise ValueError("t0, t_max and h must be finite")
+    if not h > 0:
+        raise ValueError("h must be positive")
+    if not t_max > t0:
+        raise ValueError("t_max must exceed t0")
+    if (t_max - t0) / h < 1.0:
+        raise ValueError("span must cover at least one step")
+
+
 class Method(str, Enum):
     EULER = "EULER"
     RK4 = "RK4"
@@ -58,14 +71,7 @@ class IntegrationConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.h, self.t0, self.t_max))):
-            raise ValueError("h, t0 and t_max must be finite")
-        if not self.h > 0:
-            raise ValueError("h must be positive")
-        if not self.t_max > self.t0:
-            raise ValueError("t_max must exceed t0")
-        if (self.t_max - self.t0) / self.h < 1.0:
-            raise ValueError("span must cover at least one step")
+        check_span(self.t0, self.t_max, self.h)
         stride = self.record_stride
         if not math.isfinite(stride) or int(stride) != stride or stride < 1:
             raise ValueError("record_stride must be a positive integer")
@@ -159,13 +165,14 @@ def _lanes(*xs):
 def record_rk4(f, h):
     """Record one ``_rk4_update`` of ``f`` at step ``h`` for replay over lanes.
 
-    Returns ``(widths, bind)``.  ``bind(ins, out, scratch)`` takes the arrays
+    Returns ``(widths, bind)``.  ``bind(ins, scratch)`` takes the arrays
     ins = (x, c1, c2, c4), where x is the (2, L) state with q in row 0 and p
-    in row 1, the (2, L) ``out`` for (q_new, p_new) and one (w, L) scratch
-    array per w in ``widths``, and returns the step as a list of
-    ``(uf, a, b, out)``, to be run in order as ``uf(a, b, out)``.  The
-    program reads ``ins``, writes only ``out`` and ``scratch``, and reuses a
-    scratch row once the value in it has had its last read.
+    in row 1, and one (w, L) scratch array per w in ``widths``, and returns
+    the step as a list of ``(uf, a, b, out)``, to be run in order as
+    ``uf(a, b, out)``.  The program overwrites x with (q_new, p_new), writes
+    otherwise only ``scratch``, and reuses a scratch row once the value in
+    it has had its last read.  The calls that write q_new and p_new run
+    last, so no call reads a row of x after it has been written.
 
     The update does the same operations on q and on p.  Its partner lanes
     are (q, p), each stage's (kq, kp) and (q_new, p_new); two operations are
@@ -229,6 +236,10 @@ def record_rk4(f, h):
             units.append((*tape[r0], (r0, mate[r0][0])))
         elif j not in later:
             units.append((uf, a, b, (j,)))
+    # p_new's unit is last, and q_new's is moved behind it when they are two:
+    # p's final sum may read q (as k1p, say) after q_new is made.
+    q_new, p_new = _lanes(*pairs[-1])
+    units.sort(key=lambda unit: unit[3] == (q_new,))
     # the lanes each unit reads: a joint call reads its operands' partners too
     reads = [[*_lanes(a, b), *(mate[r][0] for r in _lanes(a, b) if len(outs) > 1)]
              for _, a, b, outs in units]
@@ -237,21 +248,21 @@ def record_rk4(f, h):
                for r in (*reads[u], *outs)}
     last = {r: u for u, (*_, outs) in enumerate(units) for r in (*reads[u], *outs)}
 
-    # Each lane's home (buffer, row): buffer 0 is x, 1 is out and 2 + k is
-    # scratch[k].  A row is free again after its lane's last read, and the
-    # most recently freed row is taken first, so that a call overwrites an
-    # operand it has just read where it can.  A stacked lane takes a buffer
+    # Each lane's home (buffer, row): buffer 0 is x, (q_new, p_new) included,
+    # and 1 + k is scratch[k].  A row is free again after its lane's last read,
+    # and the most recently freed row is taken first, so that a call overwrites
+    # an operand it has just read where it can.  A stacked lane takes a buffer
     # whose two rows are free, for itself and its partner.
-    home = {0: (0, 0), 1: (0, 1)} | {r: (1, i) for i, r in enumerate(_lanes(*pairs[-1]))}
+    home = {0: (0, 0), 1: (0, 1), q_new: (0, 0), p_new: (0, 1)}
     free, widths = [], []
 
     def done(refs, u):  # the scratch rows of refs whose last use is u
         return [home[r] for r in dict.fromkeys(refs)
-                if last[r] == u and home.get(r, (0,))[0] > 1]
+                if last[r] == u and home.get(r, (0,))[0] > 0]
 
     def new(width):
         widths.append(width)
-        return len(widths) + 1
+        return len(widths)
 
     for u, (*_, outs) in enumerate(units):
         free += done(reads[u], u)
@@ -266,9 +277,9 @@ def record_rk4(f, h):
             home[r] = free.pop() if free else (new(1), 0)
         free += done(outs, u)
 
-    def bind(ins, out, scratch):
+    def bind(ins, scratch):
         x, *cs = ins
-        bufs = [x, out, *scratch]
+        bufs = [x, *scratch]
         # One array object per row: numpy runs an in-place call cheaply only
         # when its output is the very object it reads, not another view of
         # the same memory.

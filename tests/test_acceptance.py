@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from duffinglab.analysis import (
     COMPARISON_FIXTURE,
@@ -113,6 +114,7 @@ def test_c03_lyapunov_dissipation_invariant():
     )
 
 
+@pytest.mark.slow
 def test_c04_ecology_conservation():
     worst = 0.0
     for case_id in ("ECO_DYN_1", "ECO_DYN_2"):
@@ -231,6 +233,7 @@ def test_c09_picard_convergence():
     )
 
 
+@pytest.mark.slow
 def test_c10_cli_reproducibility(tmp_path):
     paths = [tmp_path / "run1.csv", tmp_path / "run2.csv"]
     for p in paths:

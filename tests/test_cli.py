@@ -351,8 +351,11 @@ def test_malformed_command_line_is_one_line_usage_error(argv, capsys):
     [
         ["simulate", "--preset", "CHAOS_A02", "--t-max", "0.004"],
         ["bifurcate", "--preset", "BIF_CASE_1", "--samples", "3", "--t-max", "0.004"],
+        ["picard", "--preset", "CHAOS_A02", "--t-max", "0.004"],
+        ["compare", "--preset", "CHAOS_A02", "--t-max", "0.004"],
+        ["homotopy", "--t-max", "0.004"],
     ],
-    ids=["simulate", "bifurcate"],
+    ids=["simulate", "bifurcate", "picard", "compare", "homotopy"],
 )
 def test_horizon_shorter_than_a_step_is_one_line_usage_error(argv, capsys):
     code, out, err = run_main(argv, capsys)

@@ -13,10 +13,10 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from duffinglab.integrators import _rk4_update, record_rk4  # noqa: E402
+from test_integrators import SPECIAL, _same, _special_lanes  # noqa: E402
 
-# Signed zeros, subnormals, values whose products overflow, infinities and nan.
-SPECIAL = [0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e300, math.inf, -math.inf,
-           math.nan, 0.3, -1.7]
+# the constants an rhs program may use: signed zeros, subnormals, values whose
+# products overflow, infinities and nan
 CONSTANTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.5, -2.0, 3.0, 1e300,
              math.inf, -math.inf, math.nan]
 OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
@@ -75,21 +75,6 @@ def _rhs(program):
     return f
 
 
-def _same(out, expected):
-    """Byte for byte, except that a NaN matches any NaN.  When both operands
-    are NaN, numpy's add and multiply return one or the other depending on
-    the lane's place in the loop (the odd lane after the SIMD body gets the
-    other), so only the NaN's sign and payload depend on the layout."""
-    nan = np.isnan(expected)
-    return (np.isnan(out) == nan).all() and out[~nan].tobytes() == expected[~nan].tobytes()
-
-
-def _lanes(shift):
-    """(q, p, c1, c2, c4) over every pair of SPECIAL values for (q, p)."""
-    q, p = (x.ravel() for x in np.meshgrid(np.roll(SPECIAL, shift), SPECIAL))
-    return [q, p, *(np.roll(q, k) for k in (3, 5, 7))]
-
-
 # a chain of partner operations inside the rhs: dq = -(2*q*q) + 0.5 and dp
 # the same on p
 @example(([("*", 0, 0, False), ("*", 3, 2.0, True), ("neg", 4, 0, False),
@@ -99,22 +84,24 @@ def _lanes(shift):
 # both rates one lane, and a constant rate
 @example(([("*", 1, 2, False)], False, 3, 3), 0.013)
 @example(([], False, 2, -0.0), 0.5)
+# dq = dp = q: p's final sum reads q, which the step overwrites with q_new
+@example(([], False, 0, 0), 0.013)
 @settings(max_examples=150, deadline=None)
 @given(rhs_programs(), st.sampled_from([0.013, 0.5, 1e-300, 3.0]))
 def test_replayed_fused_step_equals_rk4_update_bitwise(program, h):
     f = _rhs(program)
     widths, bind = record_rk4(f, h)
     n = len(SPECIAL) ** 2
-    x, cs, out = np.empty((2, n)), [np.empty(n) for _ in range(3)], np.empty((2, n))
+    x, cs = np.empty((2, n)), [np.empty(n) for _ in range(3)]
     # stale values in the scratch buffers must never reach an output
-    prog = bind((x, *cs), out, [np.full((w, n), 7.0) for w in widths])
+    prog = bind((x, *cs), [np.full((w, n), 7.0) for w in widths])
     for shift in (0, 4):
-        lanes = _lanes(shift)
+        lanes = _special_lanes(shift)
         for buf, v in zip((*x, *cs), lanes):
             buf[:] = v
         with np.errstate(all="ignore"):
             for uf, a, b, o in prog:
                 uf(a, b, o)
             expected = _rk4_update(f, *lanes[:2], h, *lanes[2:])
-        assert all(map(_same, out, expected))
-        assert [b.tobytes() for b in (*x, *cs)] == [v.tobytes() for v in lanes]
+        assert all(map(_same, x, expected))
+        assert [b.tobytes() for b in cs] == [v.tobytes() for v in lanes[2:]]
